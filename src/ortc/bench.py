@@ -132,16 +132,8 @@ def _render_csv(rows: Iterable[BenchRow]) -> str:
 
 
 def _render_markdown(rows: Sequence[BenchRow]) -> str:
-    # Pivot to one row per item, one ratio column per codec, plus a static
-    # rule-generated-RLE column we do not implement, reported as absent.
-    codecs = [c for c in CODEC_ORDER if any(r.codec == c for r in rows)]
-    columns = ["#", "Item"]
-    for codec in codecs:
-        columns.append(codec)
-        if codec == "ort":
-            columns.append("DF-RLC")
-    if "ort" not in codecs:
-        columns.insert(2, "DF-RLC")
+    # Pivot to one row per item, one ratio column per codec.
+    columns = ["#", "Item"] + [c for c in CODEC_ORDER if any(r.codec == c for r in rows)]
 
     items: list[tuple[int, str]] = []
     cells: dict[tuple[str, str], str] = {}
@@ -155,8 +147,7 @@ def _render_markdown(rows: Sequence[BenchRow]) -> str:
     lines.append("|" + "|".join("---:" if c != "Item" else ":---" for c in columns) + "|")
     for index, name in items:
         cols = [str(index), name]
-        for codec in columns[2:]:
-            cols.append("n/a" if codec == "DF-RLC" else cells.get((name, codec), ""))
+        cols.extend(cells.get((name, codec), "") for codec in columns[2:])
         lines.append("| " + " | ".join(cols) + " |")
     return "\n".join(lines) + "\n"
 

@@ -37,7 +37,7 @@ from .errors import (
     TooManyPasses,
     UnsupportedVersion,
 )
-from .tree import RepeatBitmap, bitmap_to_tree, parse_tree, serialize_tree, tree_to_bitmap
+from .tree import RepeatBitmap, _walk, bitmap_to_tree, serialize_tree
 
 __all__ = [
     "FrameMode",
@@ -184,10 +184,9 @@ def decode_pass(frame: PassFrame) -> bytes:
         # before any length-proportional allocation
         raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
     try:
-        tree, consumed = parse_tree(frame.tree, n)
+        bits, consumed = _walk(frame.tree, n)
         if consumed != len(frame.tree):
             raise MalformedTree(f"{len(frame.tree) - consumed} bytes after tree")
-        bits = tree_to_bitmap(tree, n).bits
     except MalformedTree as exc:
         raise MalformedFrame(f"bad position tree: {exc}") from exc
 
@@ -215,9 +214,9 @@ def decode_pass(frame: PassFrame) -> bytes:
     return out.tobytes()
 
 
-def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
-    """Parse one frame starting at offset; returns the frame and the end offset."""
-    view = memoryview(data)
+def _read_frame_header(view: memoryview, offset: int) -> tuple[FrameMode, int, int, int, int]:
+    """Check the frame header at offset; returns mode, stride, input length,
+    kept length and the offset of the kept stream."""
     if len(view) - offset < FRAME_OVERHEAD:
         raise MalformedFrame("truncated frame header")
     mode_byte, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view, offset)
@@ -234,13 +233,24 @@ def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
         raise MalformedFrame("kept length exceeds input length")
     if len(view) - offset < kept_len:
         raise MalformedFrame("truncated kept stream")
+    return mode, stride, input_len, kept_len, offset
+
+
+def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
+    """Parse one frame starting at offset; returns the frame and the end offset."""
+    view = memoryview(data)
+    mode, stride, input_len, kept_len, offset = _read_frame_header(view, offset)
     kept = bytes(view[offset : offset + kept_len])
     offset += kept_len
 
     tree_bytes = b""
     if mode == FrameMode.ORT:
+        if input_len > kept_len + 8 * (len(view) - offset):
+            # decode_pass's bound over every byte left; checked before the
+            # walk allocates the bitmap
+            raise MalformedFrame(f"input length {input_len} unreachable from the bytes that follow")
         try:
-            _, consumed = parse_tree(view[offset:], input_len)
+            _, consumed = _walk(view[offset:], input_len)
         except MalformedTree as exc:
             raise MalformedFrame(f"bad position tree: {exc}") from exc
         tree_bytes = bytes(view[offset : offset + consumed])
@@ -282,25 +292,6 @@ def _parse_container_header(blob: bytes) -> tuple[int, int, int, int, int]:
     return version, flags, pass_count, min_run, orig_len
 
 
-def decompress(blob: bytes) -> bytes:
-    """Invert compress; raises rather than ever returning partial output."""
-    _, flags, pass_count, _, orig_len = _parse_container_header(blob)
-    payload = bytes(memoryview(blob)[CONTAINER_OVERHEAD:])
-    if flags & _FLAG_STORED:
-        if len(payload) != orig_len:
-            raise LengthMismatch(f"stored payload is {len(payload)} bytes, header says {orig_len}")
-        return payload
-    buf = payload
-    for _ in range(pass_count):
-        frame, end = parse_frame(buf)
-        if end != len(buf):
-            raise MalformedFrame(f"{len(buf) - end} trailing bytes after frame")
-        buf = decode_pass(frame)
-    if len(buf) != orig_len:
-        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
-    return buf
-
-
 @dataclass(frozen=True)
 class FrameInfo:
     """Per-pass summary for inspection; pass 1 is the innermost (first) pass."""
@@ -323,26 +314,50 @@ class ContainerInfo:
     frames: tuple[FrameInfo, ...]
 
 
+def _decode_container(
+    blob: bytes, frames: list[FrameInfo] | None = None
+) -> tuple[tuple[int, int, int, int, int], bytes]:
+    """Check the container header and undo its passes, outermost first.
+
+    Returns the header fields and the decoded data.  Appends one FrameInfo
+    per pass to frames when a list is given.  Inside a container every frame
+    fills its buffer, so the tree is the rest of it, and decode_pass's single
+    walk also rejects trailing bytes.
+    """
+    header = _parse_container_header(blob)
+    _, flags, pass_count, _, orig_len = header
+    buf = bytes(memoryview(blob)[CONTAINER_OVERHEAD:])
+    if flags & _FLAG_STORED:
+        if len(buf) != orig_len:
+            raise LengthMismatch(f"stored payload is {len(buf)} bytes, header says {orig_len}")
+        return header, buf
+    for k in range(pass_count, 0, -1):
+        mode, stride, input_len, kept_len, offset = _read_frame_header(memoryview(buf), 0)
+        # each pass grows its input by at most one frame header
+        limit = orig_len + FRAME_OVERHEAD * (k - 1)
+        if input_len > limit:
+            raise LengthMismatch(
+                f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
+            )
+        tree = buf[offset + kept_len :]
+        if mode == FrameMode.STORED and tree:
+            raise MalformedFrame(f"{len(tree)} trailing bytes after frame")
+        if frames is not None:
+            frames.append(FrameInfo(k, mode, stride, input_len, kept_len, len(tree)))
+        buf = decode_pass(PassFrame(mode, stride, input_len, buf[offset : offset + kept_len], tree))
+    if len(buf) != orig_len:
+        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
+    return header, buf
+
+
+def decompress(blob: bytes) -> bytes:
+    """Invert compress; raises rather than ever returning partial output."""
+    return _decode_container(blob)[1]
+
+
 def inspect_container(blob: bytes) -> ContainerInfo:
     """Decode the container frame by frame, reporting structure instead of data."""
-    version, flags, pass_count, min_run, orig_len = _parse_container_header(blob)
-    stored = bool(flags & _FLAG_STORED)
     frames: list[FrameInfo] = []
-    if not stored:
-        buf = bytes(memoryview(blob)[CONTAINER_OVERHEAD:])
-        for outer in range(pass_count, 0, -1):
-            frame, end = parse_frame(buf)
-            if end != len(buf):
-                raise MalformedFrame(f"{len(buf) - end} trailing bytes after frame")
-            frames.append(
-                FrameInfo(outer, frame.mode, frame.stride, frame.input_len, frame.kept_len, len(frame.tree))
-            )
-            buf = decode_pass(frame)
-        if len(buf) != orig_len:
-            raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
-    elif len(blob) - CONTAINER_OVERHEAD != orig_len:
-        raise LengthMismatch(
-            f"stored payload is {len(blob) - CONTAINER_OVERHEAD} bytes, header says {orig_len}"
-        )
+    (version, flags, pass_count, min_run, orig_len), _ = _decode_container(blob, frames)
     frames.reverse()
-    return ContainerInfo(version, stored, pass_count, min_run, orig_len, tuple(frames))
+    return ContainerInfo(version, bool(flags & _FLAG_STORED), pass_count, min_run, orig_len, tuple(frames))

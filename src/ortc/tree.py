@@ -18,7 +18,6 @@ ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,8 +39,8 @@ __all__ = [
 
 FANOUT = 8
 
-# Depth lookup for the common range; tree_depth() extends past the table on demand.
-_DEPTH_THRESHOLDS = tuple(FANOUT**d for d in range(9))
+# Child ordinals (0-based, ascending) whose presence bits are set in a mask byte.
+_CHILDREN = tuple(tuple(k for k in range(FANOUT) if byte & (0x80 >> k)) for byte in range(256))
 
 
 def parent(r: int) -> int:
@@ -72,11 +71,8 @@ def tree_depth(num_blocks: int) -> int:
     """
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    d = bisect.bisect_left(_DEPTH_THRESHOLDS, num_blocks)
-    if d == len(_DEPTH_THRESHOLDS):
-        while FANOUT**d < num_blocks:
-            d += 1
-    return d
+    # 8**d >= n exactly when 3*d >= (n - 1).bit_length()
+    return -(-(num_blocks - 1).bit_length() // 3)
 
 
 class RepeatBitmap:
@@ -145,7 +141,7 @@ class OrtTree:
     def __post_init__(self) -> None:
         if self.num_blocks < 0:
             raise ValueError("num_blocks must be non-negative")
-        if self.depth != (tree_depth(self.num_blocks) if self.num_blocks > 1 else 0):
+        if self.depth != tree_depth(max(self.num_blocks, 1)):
             raise ValueError(f"depth {self.depth} wrong for {self.num_blocks} blocks")
         if not self.nodes:
             raise ValueError("a tree serializes to at least its root byte")
@@ -180,29 +176,25 @@ def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
         level, slot = stack.pop()
         byte = int(levels[level][slot])
         out.append(byte)
-        if level == depth:
-            continue
-        for k in range(FANOUT - 1, -1, -1):  # reversed so pops come out in child order
-            if byte & (0x80 >> k):
-                stack.append((level + 1, FANOUT * slot + k))
+        if level < depth:
+            # reversed so pops come out in child order
+            stack.extend((level + 1, FANOUT * slot + k) for k in reversed(_CHILDREN[byte]))
     return OrtTree(num_blocks, depth, bytes(out))
 
 
-def _walk(data: Sequence[int], num_blocks: int, depth: int) -> tuple[list[tuple[int, int]], int]:
-    """Walk one preorder tree at the start of data.
+def _walk(data: Sequence[int], length: int) -> tuple[np.ndarray, int]:
+    """Read the tree for a `length`-bit bitmap from the front of data.
 
-    Returns ([(leaf_slot, leaf_byte), ...], bytes consumed).  Raises
-    MalformedTree on truncation or a presence bit pointing past num_blocks.
+    Returns (the bitmap as a bool array, bytes consumed); trailing bytes are
+    left for the caller.  Raises MalformedTree on truncation or a presence bit
+    pointing past the last block, and BitBeyondLength on a leaf bit at or past
+    `length`.
     """
-    size = len(data)
-    if size == 0:
-        raise MalformedTree("empty node stream")
-    if num_blocks <= 1:
-        # lone leaf doubles as root
-        return [(0, data[0])], 1
-
+    num_blocks = max(-(-length // 8), 1)
+    depth = tree_depth(num_blocks)
     covered = [-(-num_blocks // FANOUT ** (depth - lvl)) for lvl in range(depth + 1)]
-    leaves: list[tuple[int, int]] = []
+    leaves = bytearray(num_blocks)
+    size = len(data)
     pos = 0
     stack = [(0, 0)]
     while stack:
@@ -212,17 +204,19 @@ def _walk(data: Sequence[int], num_blocks: int, depth: int) -> tuple[list[tuple[
         byte = data[pos]
         pos += 1
         if level == depth:
-            leaves.append((slot, byte))
+            leaves[slot] = byte
             continue
-        for k in range(FANOUT - 1, -1, -1):
-            if byte & (0x80 >> k):
-                child = FANOUT * slot + k
-                if child >= covered[level + 1]:
-                    raise MalformedTree(
-                        f"presence bit for child slot {child} past {covered[level + 1]} blocks"
-                    )
-                stack.append((level + 1, child))
-    return leaves, pos
+        children = _CHILDREN[byte]
+        if children and FANOUT * slot + children[-1] >= covered[level + 1]:
+            raise MalformedTree(
+                f"presence bit for child slot {FANOUT * slot + children[-1]} past {covered[level + 1]} blocks"
+            )
+        # reversed so pops come out in child order
+        stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
+    bits = np.unpackbits(np.frombuffer(leaves, dtype=np.uint8)).view(bool)
+    if bool(bits[length:].any()):
+        raise BitBeyondLength(f"set bit past position {length}")
+    return bits[:length], pos
 
 
 def tree_to_bitmap(tree: OrtTree, length: int) -> RepeatBitmap:
@@ -230,19 +224,10 @@ def tree_to_bitmap(tree: OrtTree, length: int) -> RepeatBitmap:
     num_blocks = -(-length // 8)
     if tree.num_blocks != num_blocks:
         raise MalformedTree(f"tree spans {tree.num_blocks} blocks, length {length} needs {num_blocks}")
-
-    leaves, consumed = _walk(tree.nodes, max(num_blocks, 1), tree.depth)
+    bits, consumed = _walk(tree.nodes, length)
     if consumed != len(tree.nodes):
         raise MalformedTree(f"{len(tree.nodes) - consumed} trailing node bytes")
-
-    slots = np.array([s for s, _ in leaves], dtype=np.int64)
-    values = np.array([v for _, v in leaves], dtype=np.uint8)
-    full = np.zeros(max(num_blocks, 1), dtype=np.uint8)
-    full[slots] = values
-    bits = np.unpackbits(full).astype(bool)
-    if bool(bits[length:].any()):
-        raise BitBeyondLength(f"set bit past position {length}")
-    return RepeatBitmap(bits[:length])
+    return RepeatBitmap(bits)
 
 
 def serialize_tree(tree: OrtTree) -> bytes:
@@ -257,6 +242,5 @@ def parse_tree(data: bytes, length: int) -> tuple[OrtTree, int]:
     the caller.  Returns the tree and the number of bytes consumed.
     """
     num_blocks = -(-length // 8)
-    depth = tree_depth(num_blocks) if num_blocks > 1 else 0
-    _, consumed = _walk(data, max(num_blocks, 1), depth)
-    return OrtTree(num_blocks, depth, bytes(data[:consumed])), consumed
+    _, consumed = _walk(data, length)
+    return OrtTree(num_blocks, tree_depth(max(num_blocks, 1)), bytes(data[:consumed])), consumed

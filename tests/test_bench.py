@@ -113,8 +113,8 @@ class TestRenderReport:
     def test_markdown_single_item_two_codecs(self):
         text = render_report(self.ROWS, "markdown")
         lines = text.splitlines()
-        assert lines[0] == "| # | Item | ort | DF-RLC | prlc1 |"
-        assert lines[2] == "| 1 | alpha | 10.000 | n/a | 2.000 |"
+        assert lines[0] == "| # | Item | ort | prlc1 |"
+        assert lines[2] == "| 1 | alpha | 10.000 | 2.000 |"
         assert len(lines) == 3  # one data row
 
     def test_markdown_column_order_mirrors_comparison_table(self):
@@ -123,7 +123,7 @@ class TestRenderReport:
             for c in ("stored", "prlc1", "prlc2", "ort")
         ]
         header = render_report(rows, "markdown").splitlines()[0]
-        assert header == "| # | Item | ort | DF-RLC | prlc2 | prlc1 | stored |"
+        assert header == "| # | Item | ort | prlc2 | prlc1 | stored |"
 
     def test_empty_rows_render_headers_only(self):
         assert render_report([], "csv") == "index,item,codec,uncompressed,compressed,cr\n"

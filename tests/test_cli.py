@@ -125,7 +125,7 @@ class TestBench:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 2 + 3  # header, separator, one row per file
-        assert lines[0].startswith("| # | Item | ort | DF-RLC |")
+        assert lines[0].startswith("| # | Item | ort | prlc2 |")
 
     def test_csv_parses_and_is_deterministic(self, corpus_dir, capsys):
         code, first, _ = run(capsys, "bench", str(corpus_dir), "--format", "csv")

@@ -23,11 +23,12 @@ from ortc.errors import (
     BadMagic,
     LengthMismatch,
     MalformedFrame,
+    OrtcError,
     TooManyPasses,
     UnsupportedVersion,
 )
 
-from oracles import naive_decode_frame, naive_mark
+from oracles import naive_compress, naive_decode_frame, naive_decompress, naive_mark
 
 ADVERSARIAL = [
     b"",
@@ -229,6 +230,12 @@ class TestParseFrame:
             with pytest.raises(MalformedFrame):
                 parse_frame(good[:cut])
 
+    def test_unreachable_input_length_rejected_cheaply(self):
+        # the tree walk allocates a bitmap of the claimed input length
+        blob = struct.pack("<BBQQ", 1, 1, 2**60, 1) + b"\xaa\x00"
+        with pytest.raises(MalformedFrame, match="unreachable"):
+            parse_frame(blob)
+
     def test_offset_and_trailing(self):
         good = encode_pass(b"\xaa" * 16, 1, 3).to_bytes()
         frame, end = parse_frame(b"??" + good + b"xyz", offset=2)
@@ -335,11 +342,32 @@ class TestDecompressErrors:
         with pytest.raises((MalformedFrame, LengthMismatch)):
             decompress(self.good() + b"!")
 
+    def test_stored_frame_with_trailing_bytes(self):
+        data = b"\x00" * 300
+        inner = encode_pass(data, 1, 3).to_bytes()
+        outer = PassFrame(FrameMode.STORED, 2, len(inner), inner, b"").to_bytes()
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 2, 3, len(data)) + outer
+        assert decompress(blob) == data
+        with pytest.raises(MalformedFrame):
+            decompress(blob + b"!")
+
     def test_orig_len_tamper(self):
         blob = bytearray(self.good())
         blob[8] ^= 0x01  # first byte of the length field
         with pytest.raises((LengthMismatch, MalformedFrame)):
             decompress(bytes(blob))
+
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_length_claim_rejected_before_decoding(self, reader, monkeypatch):
+        blob = bytearray(compress(b"\x00" * (4 << 20)))
+        blob[8:16] = (1).to_bytes(8, "little")  # original length 4 MiB -> 1
+
+        def no_decode(frame):
+            raise AssertionError("decode_pass ran on a container whose header rules it out")
+
+        monkeypatch.setattr("ortc.codec.decode_pass", no_decode)
+        with pytest.raises(LengthMismatch, match="pass 10"):
+            reader(bytes(blob))
 
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))
@@ -380,3 +408,67 @@ class TestInspect:
         (frame,) = info.frames
         assert frame.input_len == 4096
         assert CONTAINER_OVERHEAD + FRAME_OVERHEAD + frame.kept_len + frame.tree_len == len(blob)
+
+
+def test_one_tree_walk_per_coded_frame(monkeypatch):
+    import ortc.codec
+    import ortc.tree
+
+    data = b"\x00" * 4096 + bytes(range(256)) * 8 + b"ab" * 500
+    blob = compress(data)
+    coded = sum(f.mode == FrameMode.ORT for f in inspect_container(blob).frames)
+    assert coded >= 2
+    walk = ortc.tree._walk
+    calls = []
+
+    def counting_walk(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(ortc.tree, "_walk", counting_walk)
+    monkeypatch.setattr(ortc.codec, "_walk", counting_walk)
+    assert decompress(blob) == data
+    assert len(calls) == coded
+
+
+# Inputs mixing runs of a few symbols with random bytes, so that passes
+# come out coded as well as stored.
+repetitive = st.lists(
+    st.tuples(st.integers(0, 255), st.integers(1, 40)), max_size=40
+).map(lambda runs: b"".join(bytes([v % 4 if n > 1 else v]) * n for v, n in runs)[:512])
+inputs = st.one_of(st.binary(max_size=512), repetitive)
+
+
+class TestOracleDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs, st.integers(0, 6), st.integers(1, 4))
+    def test_compress_matches_naive_compress(self, data, passes, min_run):
+        assert compress(data, CodecParams(passes=passes, min_run=min_run)) == naive_compress(
+            data, passes, min_run
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(inputs, st.integers(0, 6), st.integers(1, 4), st.sampled_from(["flip", "cut", "append"]), st.data())
+    def test_mutated_container_agrees_with_oracle(self, data, passes, min_run, mutation, draw):
+        blob = bytearray(compress(data, CodecParams(passes=passes, min_run=min_run)))
+        if mutation == "flip":
+            bit = draw.draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+        elif mutation == "cut":
+            del blob[draw.draw(st.integers(0, len(blob) - 1)) :]
+        else:
+            blob.append(draw.draw(st.integers(0, 255)))
+        blob = bytes(blob)
+        try:
+            expected = naive_decompress(blob)
+        except (AssertionError, IndexError, StopIteration, ValueError, struct.error):
+            # the oracle rejects it, so must the codec
+            with pytest.raises(OrtcError):
+                decompress(blob)
+            return
+        # the oracle reads any nonzero mode byte as coded, so the codec may
+        # reject what the oracle accepts, but never decode it differently
+        try:
+            assert decompress(blob) == expected
+        except OrtcError:
+            pass
