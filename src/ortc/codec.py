@@ -37,7 +37,7 @@ from .errors import (
     TooManyPasses,
     UnsupportedVersion,
 )
-from .tree import RepeatBitmap, _walk, bitmap_to_tree, serialize_tree
+from .tree import RepeatBitmap, _levels, _preorder, _walk
 
 __all__ = [
     "FrameMode",
@@ -118,15 +118,6 @@ class PassFrame:
         return header + self.kept + self.tree
 
 
-def _chain_run_lengths(link: np.ndarray) -> np.ndarray:
-    """Per element, the length of its maximal run of equal values in link."""
-    n = link.size
-    starts = np.flatnonzero(link[1:] != link[:-1]) + 1
-    bounds = np.concatenate(([0], starts, [n]))
-    lens = np.diff(bounds)
-    return np.repeat(lens, lens)
-
-
 def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
     n = arr.size
     bits = np.zeros(n, dtype=bool)
@@ -140,9 +131,12 @@ def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
     need = min_run - 1  # links per qualifying chain
     for r in range(stride):
         link = eq[r::stride]
-        if link.size == 0 or not link.any():
+        if not link.any():
             continue
-        bits[r::stride] = link & (_chain_run_lengths(link) >= need)
+        # lengths of the maximal runs of equal values in link
+        starts = np.flatnonzero(link[1:] != link[:-1]) + 1
+        lens = np.diff(np.concatenate(([0], starts, [link.size])))
+        bits[r::stride] = link & np.repeat(lens >= need, lens)
     return bits
 
 
@@ -165,10 +159,11 @@ def encode_pass(data: bytes, stride: int, min_run: int) -> PassFrame:
     data = bytes(data)
     arr = np.frombuffer(data, dtype=np.uint8)
     bits = _mark_bits(arr, stride, min_run)
-    kept = arr[~bits].tobytes()
-    tree_bytes = serialize_tree(bitmap_to_tree(RepeatBitmap(bits)))
-    if len(kept) + len(tree_bytes) < len(data):
-        return PassFrame(FrameMode.ORT, stride, len(data), kept, tree_bytes)
+    levels, tree_size = _levels(bits)
+    # kept + tree < input exactly when the tree is smaller than the repeats it
+    # drops; only then is the preorder built
+    if tree_size < np.count_nonzero(bits):
+        return PassFrame(FrameMode.ORT, stride, len(data), arr[~bits].tobytes(), _preorder(levels))
     return PassFrame(FrameMode.STORED, stride, len(data), data, b"")
 
 
@@ -207,7 +202,8 @@ def decode_pass(frame: PassFrame) -> bytes:
             if not lane_bits.any():
                 continue
             # index of the nearest anchor at or before each lane slot
-            anchor = np.where(lane_bits, 0, np.arange(lane_bits.size))
+            anchor = np.arange(lane_bits.size, dtype=np.int32 if lane_bits.size < 2**31 else np.intp)
+            anchor[lane_bits] = 0
             np.maximum.accumulate(anchor, out=anchor)
             lane = out[r :: frame.stride]
             lane[...] = lane[anchor]

@@ -14,12 +14,24 @@ in preorder:
 
 Depth is counted in internal levels over 8-bit blocks: numBlocks =
 ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
+
+Building goes level by level.  The leaf bytes are packbits of the bitmap and
+each level above is packbits of (level below != 0), so the pruned size is
+known before any node is ordered.  The present nodes are then put in
+preorder by one lexsort on (leftmost leaf covered, level): disjoint subtrees
+fall in leaf order, and a node comes before the descendants that share its
+leftmost leaf.
+
+Walking is sequential over the internal nodes only.  A node one level above
+the leaves is followed directly by its popcount(mask) leaf bytes, so the walk
+records its offset and skips them; after the walk one numpy gather scatters
+every leaf byte into its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +53,8 @@ FANOUT = 8
 
 # Child ordinals (0-based, ascending) whose presence bits are set in a mask byte.
 _CHILDREN = tuple(tuple(k for k in range(FANOUT) if byte & (0x80 >> k)) for byte in range(256))
+# The same as a 256 x 8 bool table: [byte, k] says child ordinal k is present.
+_PRESENT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(bool)
 
 
 def parent(r: int) -> int:
@@ -151,38 +165,37 @@ class OrtTree:
         return len(self.nodes)
 
 
+def _levels(bits: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Every node byte of the complete tree, root level first, and the size
+    in bytes of its pruned preorder form: the present nodes, plus the root
+    when it is zero."""
+    levels = [np.packbits(bits) if bits.size else np.zeros(1, dtype=np.uint8)]  # leaf bytes, MSB-first
+    while levels[0].size > 1:
+        levels.insert(0, np.packbits(levels[0] != 0))
+    size = sum(np.count_nonzero(level) for level in levels) + int(levels[0][0] == 0)
+    return levels, size
+
+
+def _preorder(levels: list[np.ndarray]) -> bytes:
+    """The present nodes of _levels' tree in depth-first preorder."""
+    depth = len(levels) - 1
+    slots = [np.zeros(1, dtype=np.intp)] + [np.flatnonzero(level) for level in levels[1:]]
+    level_of = np.repeat(np.arange(depth + 1, dtype=np.uint8), [s.size for s in slots])
+    # a node's leftmost leaf orders disjoint subtrees; its level puts it
+    # before the descendants that share that leaf
+    first_leaf = np.concatenate([s << 3 * (depth - lvl) for lvl, s in enumerate(slots)])
+    order = np.lexsort((level_of, first_leaf))
+    return np.concatenate([level[s] for level, s in zip(levels, slots)])[order].tobytes()
+
+
 def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     """Build the pruned presence tree for a repeat bitmap."""
     bits = bitmap.bits
-    n = bits.size
-    num_blocks = -(-n // 8)
-    if num_blocks == 0:
-        return OrtTree(0, 0, b"\x00")
-
-    padded = np.zeros(num_blocks * 8, dtype=bool)
-    padded[:n] = bits
-    levels = [np.packbits(padded)]  # leaf bytes, MSB-first
-    while levels[0].size > 1:
-        present = levels[0] != 0
-        pad = (-present.size) % FANOUT
-        if pad:
-            present = np.concatenate([present, np.zeros(pad, dtype=bool)])
-        levels.insert(0, np.packbits(present))
-    depth = len(levels) - 1
-
-    out = bytearray()
-    stack = [(0, 0)]
-    while stack:
-        level, slot = stack.pop()
-        byte = int(levels[level][slot])
-        out.append(byte)
-        if level < depth:
-            # reversed so pops come out in child order
-            stack.extend((level + 1, FANOUT * slot + k) for k in reversed(_CHILDREN[byte]))
-    return OrtTree(num_blocks, depth, bytes(out))
+    levels, _ = _levels(bits)
+    return OrtTree(-(-bits.size // 8), len(levels) - 1, _preorder(levels))
 
 
-def _walk(data: Sequence[int], length: int) -> tuple[np.ndarray, int]:
+def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """Read the tree for a `length`-bit bitmap from the front of data.
 
     Returns (the bitmap as a bool array, bytes consumed); trailing bytes are
@@ -193,27 +206,48 @@ def _walk(data: Sequence[int], length: int) -> tuple[np.ndarray, int]:
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
     covered = [-(-num_blocks // FANOUT ** (depth - lvl)) for lvl in range(depth + 1)]
-    leaves = bytearray(num_blocks)
+    leaves = np.zeros(num_blocks, dtype=np.uint8)
     size = len(data)
-    pos = 0
-    stack = [(0, 0)]
-    while stack:
-        level, slot = stack.pop()
-        if pos >= size:
+    if size == 0:
+        raise MalformedTree("node stream truncated")
+    if depth == 0:
+        leaves[0] = data[0]
+        pos = 1
+    else:
+        twig = depth - 1  # the level whose children are leaves
+        twig_pos: list[int] = []
+        twig_slot: list[int] = []
+        pos = 0
+        stack = [(0, 0)]
+        while stack:
+            level, slot = stack.pop()
+            if pos >= size:
+                raise MalformedTree("node stream truncated")
+            children = _CHILDREN[data[pos]]
+            if children and FANOUT * slot + children[-1] >= covered[level + 1]:
+                raise MalformedTree(
+                    f"presence bit for child slot {FANOUT * slot + children[-1]} past {covered[level + 1]} blocks"
+                )
+            if level == twig:
+                # its leaf bytes follow it directly; gathered after the walk
+                twig_pos.append(pos)
+                twig_slot.append(slot)
+                pos += 1 + len(children)
+            else:
+                pos += 1
+                # reversed so pops come out in child order
+                stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
+        if pos > size:
             raise MalformedTree("node stream truncated")
-        byte = data[pos]
-        pos += 1
-        if level == depth:
-            leaves[slot] = byte
-            continue
-        children = _CHILDREN[byte]
-        if children and FANOUT * slot + children[-1] >= covered[level + 1]:
-            raise MalformedTree(
-                f"presence bit for child slot {FANOUT * slot + children[-1]} past {covered[level + 1]} blocks"
-            )
-        # reversed so pops come out in child order
-        stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
-    bits = np.unpackbits(np.frombuffer(leaves, dtype=np.uint8)).view(bool)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        offsets = np.array(twig_pos, dtype=np.intp)
+        present = _PRESENT[arr[offsets]]
+        # row-major selection keeps preorder: twig by twig, children in order
+        dest = (FANOUT * np.array(twig_slot, dtype=np.intp)[:, None] + np.arange(FANOUT))[present]
+        counts = present.sum(axis=1)
+        first = np.cumsum(counts) - counts  # index in dest of each twig's first leaf
+        leaves[dest] = arr[np.repeat(offsets + 1 - first, counts) + np.arange(dest.size)]
+    bits = np.unpackbits(leaves).view(bool)
     if bool(bits[length:].any()):
         raise BitBeyondLength(f"set bit past position {length}")
     return bits[:length], pos

@@ -176,15 +176,21 @@ class TestBench:
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
         src = tmp_path / "f"
         src.write_bytes(b"\x01" * 100)
+        # the checkout's package, whether or not ortc is installed
+        checkout_src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [checkout_src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "ortc", "compress", str(src), str(tmp_path / "f.ortc")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert result.returncode == 0
         assert "ratio" in result.stdout

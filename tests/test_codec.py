@@ -127,6 +127,20 @@ class TestEncodePass:
         data = bytes(random.Random(1).randbytes(2000))
         assert encode_pass(data, 2, 3).to_bytes() == encode_pass(data, 2, 3).to_bytes()
 
+    def test_stored_pass_skips_preorder(self, monkeypatch):
+        import ortc.codec
+
+        def fail(levels):
+            raise AssertionError("preorder built for a stored pass")
+
+        monkeypatch.setattr(ortc.codec, "_preorder", fail)
+        data = bytes(random.Random(3).randbytes(4096))
+        # min_run 2 marks a few isolated repeats, so the tree is not empty
+        assert mark_equalities(data, 2, 2).count > 0
+        frame = encode_pass(data, 2, 2)
+        assert frame.mode == FrameMode.STORED
+        assert frame.kept == data
+
     @pytest.mark.parametrize("data", ADVERSARIAL)
     def test_pass_size_guarantee(self, data):
         for stride in (1, 2, 10):

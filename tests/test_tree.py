@@ -9,6 +9,7 @@ from ortc.errors import BadChildOrdinal, BitBeyondLength, ChildOutOfRange, Malfo
 from ortc.tree import (
     OrtTree,
     RepeatBitmap,
+    _levels,
     bitmap_to_tree,
     kth_child,
     parent,
@@ -18,7 +19,7 @@ from ortc.tree import (
     tree_to_bitmap,
 )
 
-from oracles import ceil_div, classify_nodes, naive_depth, naive_tree_bytes
+from oracles import ceil_div, classify_nodes, naive_depth, naive_parse_tree, naive_tree_bytes
 
 FIG2_POSITIONS = [4, 5, 8, 14, 15, 52, 53, 54]
 FIG2_TREE = bytes.fromhex("c20c830e")
@@ -115,9 +116,11 @@ class TestBitmapToTree:
         assert tree.nodes == FIG2_TREE
 
     def test_all_zero_keeps_root(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions([], 64))
+        bm = RepeatBitmap.from_positions([], 64)
+        tree = bitmap_to_tree(bm)
         assert tree.nodes == b"\x00"
         assert tree.node_count == 1
+        assert _levels(bm.bits)[1] == 1
 
     def test_constant_run_fixture(self):
         tree = bitmap_to_tree(RepeatBitmap.from_positions(range(1, 16), 16))
@@ -140,6 +143,20 @@ class TestBitmapToTree:
         positions = {p for p in range(n) if rng.random() < rng.choice([0.02, 0.3, 0.9])}
         tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
         assert tree.nodes == naive_tree_bytes(positions, n)
+
+    # one block short of, at and past each depth boundary 8**k
+    @pytest.mark.parametrize("num_blocks", [8**k + d for k in range(1, 5) for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.5, 1.0])
+    def test_matches_recursive_oracle_at_depth_boundaries(self, num_blocks, density):
+        rng = random.Random(num_blocks)
+        n = 8 * num_blocks - 5  # a partial last block
+        positions = {p for p in range(n) if rng.random() < density}
+        bm = RepeatBitmap.from_positions(positions, n)
+        tree = bitmap_to_tree(bm)
+        assert tree.depth == naive_depth(num_blocks)
+        assert tree.nodes == naive_tree_bytes(positions, n)
+        assert _levels(bm.bits)[1] == tree.node_count  # the size known before the preorder
+        assert tree_to_bitmap(tree, n) == bm
 
 
 class TestRoundTrips:
@@ -215,6 +232,38 @@ class TestMalformedTrees:
         with pytest.raises(BitBeyondLength):
             tree_to_bitmap(tree, 4)
         assert tree_to_bitmap(tree, 6).positions() == [5]
+
+
+class TestParseDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 3000),
+        st.sampled_from([0.0, 0.01, 0.2, 0.9]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["flip", "cut", "append"]),
+        st.data(),
+    )
+    def test_mutated_tree_agrees_with_oracle(self, n, density, seed, mutation, draw):
+        rng = random.Random(seed)
+        positions = [p for p in range(n) if rng.random() < density]
+        data = bytearray(bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes)
+        if mutation == "flip":
+            bit = draw.draw(st.integers(0, 8 * len(data) - 1))
+            data[bit // 8] ^= 0x80 >> (bit % 8)
+        elif mutation == "cut":
+            del data[draw.draw(st.integers(0, len(data) - 1)) :]
+        else:
+            data += draw.draw(st.binary(min_size=1, max_size=3))
+        data = bytes(data)
+        try:
+            expected, expected_consumed = naive_parse_tree(data, n)
+        except ValueError:
+            with pytest.raises((MalformedTree, BitBeyondLength)):
+                parse_tree(data, n)
+            return
+        tree, consumed = parse_tree(data, n)
+        assert consumed == expected_consumed
+        assert tree_to_bitmap(tree, n).positions() == sorted(expected)
 
 
 class TestStructuralInvariants:
