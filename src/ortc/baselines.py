@@ -77,25 +77,22 @@ def prlc1_encode(data: bytes) -> tuple[int, bytes]:
 
 def prlc1_decode(flag: int, body: bytes) -> bytes:
     """Invert prlc1_encode."""
-    body = bytes(body)
     if not 0 <= flag <= 255:
         raise ValueError(f"flag must be a byte value, got {flag}")
-    escapes = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == flag)
-    out = bytearray()
-    pos = 0
-    i = 0
-    while i < escapes.size:
-        q = int(escapes[i])
-        i += 1
-        if q < pos:  # flag byte inside an already-consumed triple
-            continue
-        out += body[pos:q]
-        if q + 3 > len(body):
-            raise MalformedStream("truncated escape triple")
-        out += bytes([body[q + 1]]) * (body[q + 2] + 1)
-        pos = q + 3
-    out += body[pos:]
-    return bytes(out)
+    arr = np.frombuffer(bytes(body), dtype=np.uint8)
+    escapes = np.flatnonzero(arr == flag)
+    # an escape is real unless a real one sits 1 or 2 bytes before it, so
+    # only escapes close behind the previous one need a look
+    real = np.ones(escapes.size, dtype=bool)
+    for i in (np.flatnonzero(np.diff(escapes) <= 2) + 1).tolist():
+        real[i] = not (real[i - 1] or (i > 1 and real[i - 2] and escapes[i] - escapes[i - 2] == 2))
+    escapes = escapes[real]
+    if escapes.size and escapes[-1] + 3 > arr.size:
+        raise MalformedStream("truncated escape triple")
+    counts = np.ones(arr.size, dtype=np.intp)  # output copies of each body byte
+    counts[escapes + 1] = arr[escapes + 2].astype(np.intp) + 1
+    counts[escapes] = counts[escapes + 2] = 0
+    return np.repeat(arr, counts).tobytes()
 
 
 def prlc2_encode(data: bytes) -> bytes:
@@ -104,8 +101,8 @@ def prlc2_encode(data: bytes) -> bytes:
     if not data:
         return b""
     arr = np.frombuffer(data, dtype=np.uint8)
-    if bool((arr >= 128).any()):
-        offender = int(arr[arr >= 128][0])
+    if int(arr.max()) >= 128:
+        offender = int(arr[np.argmax(arr >= 128)])
         raise UnsupportedAlphabet(f"byte {offender:#04x} needs the high bit reserved for counts")
 
     starts, lengths = _runs(arr)
@@ -126,17 +123,13 @@ def prlc2_encode(data: bytes) -> bytes:
 
 def prlc2_decode(body: bytes) -> bytes:
     """Invert prlc2_encode."""
-    body = bytes(body)
-    out = bytearray()
-    pos = 0
-    for q in np.flatnonzero(np.frombuffer(body, dtype=np.uint8) >= 128):
-        q = int(q)
-        if q == 0:
-            raise MalformedStream("count byte at stream start")
-        if body[q - 1] >= 128:
-            raise MalformedStream("count byte follows another count byte")
-        out += body[pos:q]  # literals, including the run's value byte
-        out += bytes([body[q - 1]]) * (body[q] & 0x7F)
-        pos = q + 1
-    out += body[pos:]
-    return bytes(out)
+    arr = np.frombuffer(bytes(body), dtype=np.uint8)
+    counts = np.flatnonzero(arr >= 128)
+    if counts.size and counts[0] == 0:
+        raise MalformedStream("count byte at stream start")
+    if bool((arr[counts - 1] >= 128).any()):
+        raise MalformedStream("count byte follows another count byte")
+    copies = np.ones(arr.size, dtype=np.intp)  # output copies of each body byte
+    copies[counts - 1] += arr[counts] & 0x7F
+    copies[counts] = 0
+    return np.repeat(arr, copies).tobytes()

@@ -3,10 +3,14 @@ and the container wire format.
 
 One pass scans the input at a fixed stride s: byte p is a *repeat* when it
 equals byte p-s and sits in a chain of at least min_run equal bytes spaced s
-apart.  Repeats are dropped from the stream; their positions go into a pruned
-8-ary bitmap tree (see tree.py) appended after the kept bytes.  A pass that
-fails to shrink its input is emitted verbatim in stored mode, so no pass ever
-grows its input by more than the frame header.
+apart, that is, when some window of min_run-1 consecutive links p', p'+s, ...
+(link q: byte q equals byte q-s), all holding, contains link p.  Marking ANDs
+the links with themselves shifted by multiples of s, doubling the window each
+time, then spreads each window start with the same shifts under OR.  Repeats
+are dropped from the stream; their positions go into a pruned 8-ary bitmap
+tree (see tree.py) appended after the kept bytes.  A pass that fails to shrink
+its input is emitted verbatim in stored mode, so no pass ever grows its input
+by more than the frame header.
 
 The full pipeline runs `passes` passes, pass i at stride i, each wrapping the
 previous frame.  Wire layout, all integers unsigned little-endian:
@@ -119,25 +123,25 @@ class PassFrame:
 
 
 def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
+    # link p (byte p equals byte p - stride) qualifies when a window of `need`
+    # in-lane links, all holding, contains it; shifts by multiples of stride
+    # stay in the lane, so whole-array slices serve every lane at once
     n = arr.size
-    bits = np.zeros(n, dtype=bool)
-    if n == 0 or stride >= n:
-        return bits
-    eq = np.zeros(n, dtype=bool)
-    eq[stride:] = arr[stride:] == arr[:-stride]
-    if min_run <= 2:
-        # every equality link already sits in a chain of length >= 2
-        return eq
-    need = min_run - 1  # links per qualifying chain
-    for r in range(stride):
-        link = eq[r::stride]
-        if not link.any():
-            continue
-        # lengths of the maximal runs of equal values in link
-        starts = np.flatnonzero(link[1:] != link[:-1]) + 1
-        lens = np.diff(np.concatenate(([0], starts, [link.size])))
-        bits[r::stride] = link & np.repeat(lens >= need, lens)
-    return bits
+    need = max(min_run - 1, 1)
+    if need * stride >= n:  # no window fits: links run from stride to n - 1
+        return np.zeros(n, dtype=bool)
+    w = np.zeros(n, dtype=bool)
+    w[stride:] = arr[stride:] == arr[:-stride]
+    shifts, width = [], 1  # window widths 1, 2, 4, ... topped up to need
+    while width < need:
+        shifts.append(min(width, need - width) * stride)
+        width += shifts[-1] // stride
+    for d in shifts:  # w[p] becomes: the window starting at link p holds
+        w[: n - d] &= w[d:]
+        w[n - d :] = False
+    for d in shifts:  # spread each window start over its links
+        w[d:] |= w[: n - d]
+    return w
 
 
 def mark_equalities(data: bytes, stride: int, min_run: int) -> RepeatBitmap:

@@ -2,10 +2,16 @@
 
 Everything here is written for clarity, not speed, and shares no code or
 numpy shortcuts with the package under test: positions are plain ints, trees
-are built recursively, decoding expands the bitmap positionally.
+are built recursively, decoding expands the bitmap positionally.  The two RLE
+baseline decoders at the end are the exception: they are the loop decoders
+the package used before it decoded with one np.repeat, kept as they were.
 """
 
 import struct
+
+import numpy as np
+
+from ortc.errors import MalformedStream
 
 CONTAINER_HDR = struct.Struct("<4sBBBBQ")
 FRAME_HDR = struct.Struct("<BBQQ")
@@ -197,3 +203,44 @@ def naive_decompress(blob):
         buf = naive_decode_frame(buf)
     assert len(buf) == orig_len
     return bytes(buf)
+
+
+def naive_prlc1_decode(flag: int, body: bytes) -> bytes:
+    """Invert prlc1_encode."""
+    body = bytes(body)
+    if not 0 <= flag <= 255:
+        raise ValueError(f"flag must be a byte value, got {flag}")
+    escapes = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == flag)
+    out = bytearray()
+    pos = 0
+    i = 0
+    while i < escapes.size:
+        q = int(escapes[i])
+        i += 1
+        if q < pos:  # flag byte inside an already-consumed triple
+            continue
+        out += body[pos:q]
+        if q + 3 > len(body):
+            raise MalformedStream("truncated escape triple")
+        out += bytes([body[q + 1]]) * (body[q + 2] + 1)
+        pos = q + 3
+    out += body[pos:]
+    return bytes(out)
+
+
+def naive_prlc2_decode(body: bytes) -> bytes:
+    """Invert prlc2_encode."""
+    body = bytes(body)
+    out = bytearray()
+    pos = 0
+    for q in np.flatnonzero(np.frombuffer(body, dtype=np.uint8) >= 128):
+        q = int(q)
+        if q == 0:
+            raise MalformedStream("count byte at stream start")
+        if body[q - 1] >= 128:
+            raise MalformedStream("count byte follows another count byte")
+        out += body[pos:q]  # literals, including the run's value byte
+        out += bytes([body[q - 1]]) * (body[q] & 0x7F)
+        pos = q + 1
+    out += body[pos:]
+    return bytes(out)

@@ -14,6 +14,32 @@ from ortc.baselines import (
 )
 from ortc.errors import MalformedStream, UnsupportedAlphabet
 
+from oracles import naive_prlc1_decode, naive_prlc2_decode
+
+
+def outcome(decode, *args):
+    """The decoded bytes, or the class of the exception decode raised."""
+    try:
+        return decode(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what gets compared
+        return type(exc)
+
+
+def mutate(body, how, draw):
+    """body with one byte replaced, cut short at a drawn offset, or unchanged."""
+    body = bytearray(body)
+    if how == "replace" and body:
+        body[draw.draw(st.integers(0, len(body) - 1))] = draw.draw(st.integers(0, 255))
+    elif how == "truncate":
+        del body[draw.draw(st.integers(0, len(body))) :]
+    return bytes(body)
+
+
+# runs of a few values, long enough to code, among single literals
+runny = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 300)), max_size=30).map(
+    lambda runs: b"".join(bytes([v if n == 1 else v % 3]) * n for v, n in runs)
+)
+
 
 def walk_prlc1_units(flag, body):
     """Yield ('run', value, length) or ('lit', value, 1) units."""
@@ -101,6 +127,28 @@ class TestPrlc1:
         with pytest.raises(ValueError):
             prlc1_decode(300, b"")
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.binary(max_size=600), runny),
+        st.sampled_from(["none", "replace", "truncate", "flag"]),
+        st.data(),
+    )
+    def test_decode_matches_loop_oracle(self, data, how, draw):
+        flag, body = prlc1_encode(data)
+        if how == "flag":
+            # a wrong flag, in range or not, re-reads the body's escapes
+            flag = draw.draw(st.one_of(st.integers(0, 255), st.sampled_from([-1, 256])))
+        body = mutate(body, how, draw)
+        assert outcome(prlc1_decode, flag, body) == outcome(naive_prlc1_decode, flag, body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=80), st.integers(0, 3))
+    def test_decode_dense_escapes_matches_loop_oracle(self, values, flag):
+        # flag bytes one and two apart, where only the order decides which
+        # of them open a triple
+        body = bytes(values)
+        assert outcome(prlc1_decode, flag, body) == outcome(naive_prlc1_decode, flag, body)
+
 
 class TestPrlc2:
     def test_short_run_fixture(self):
@@ -114,6 +162,10 @@ class TestPrlc2:
             prlc2_encode(b"ab\x90cd")
         with pytest.raises(UnsupportedAlphabet):
             prlc2_encode(bytes([0x05, 0xC8]))
+
+    def test_rejection_names_first_high_byte(self):
+        with pytest.raises(UnsupportedAlphabet, match="byte 0x90 "):
+            prlc2_encode(b"ab\x90c\xffd")
 
     def test_empty(self):
         assert prlc2_encode(b"") == b""
@@ -153,3 +205,16 @@ class TestPrlc2:
     def test_count_after_count_is_malformed(self):
         with pytest.raises(MalformedStream):
             prlc2_decode(bytes([0x05, 0x84, 0x83]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 127), max_size=600).map(bytes),
+            runny.map(lambda d: bytes(b & 0x7F for b in d)),
+        ),
+        st.sampled_from(["none", "replace", "truncate"]),
+        st.data(),
+    )
+    def test_decode_matches_loop_oracle(self, data, how, draw):
+        body = mutate(prlc2_encode(data), how, draw)
+        assert outcome(prlc2_decode, body) == outcome(naive_prlc2_decode, body)

@@ -91,6 +91,29 @@ class TestMarkEqualities:
             data, stride, min_run
         )
 
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.integers(1, 255),
+        st.integers(1, 255),
+        st.sampled_from([-1, 0, 1, None]),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+    )
+    def test_matches_oracle_all_strides_and_min_runs(self, stride, min_run, edge, alphabet, seed):
+        # lengths just short of, at and just past the first that fits a
+        # window of min_run - 1 links, or random; a small alphabet with a few
+        # outliers breaks chains at varied places
+        rng = random.Random(seed)
+        need = max(min_run - 1, 1)
+        n = rng.randrange(0, 3000) if edge is None else max(need * stride + edge, 0)
+        data = bytearray(rng.choices(range(alphabet), k=n))
+        for _ in range(rng.randrange(4) if n else 0):
+            data[rng.randrange(n)] = 0xFF
+        data = bytes(data)
+        assert set(mark_equalities(data, stride, min_run).positions()) == naive_mark(
+            data, stride, min_run
+        )
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             mark_equalities(b"xx", 0, 3)
@@ -454,8 +477,10 @@ inputs = st.one_of(st.binary(max_size=512), repetitive)
 
 
 class TestOracleDifferential:
+    # min_run beyond 3 needs doubling steps in the marking, and a top-up step
+    # when min_run - 1 is no power of two
     @settings(max_examples=200, deadline=None)
-    @given(inputs, st.integers(0, 6), st.integers(1, 4))
+    @given(inputs, st.integers(0, 6), st.one_of(st.integers(1, 12), st.sampled_from([17, 24, 33, 255])))
     def test_compress_matches_naive_compress(self, data, passes, min_run):
         assert compress(data, CodecParams(passes=passes, min_run=min_run)) == naive_compress(
             data, passes, min_run
