@@ -5,130 +5,18 @@ drops repeated bytes from the stream and appends a pruned bitmap tree that
 records exactly which positions were dropped.  Multi-pass operation re-runs
 the codec on its own output with a growing comparison stride, which also
 squeezes the highly repetitive tree bytes of earlier passes.
+
+The package re-exports the ``__all__`` of each submodule, so a new public
+name is declared once, in its own module's ``__all__``.
 """
 
-from .baselines import (
-    PRLC1_MAX_RUN,
-    PRLC2_MAX_RUN,
-    prlc1_decode,
-    prlc1_encode,
-    prlc2_decode,
-    prlc2_encode,
-)
-from .bench import (
-    CODEC_ORDER,
-    BenchRow,
-    CorpusItem,
-    compression_ratio,
-    load_corpus,
-    render_report,
-    run_bench,
-)
-from .codec import (
-    CONTAINER_OVERHEAD,
-    FRAME_OVERHEAD,
-    MAGIC,
-    VERSION,
-    CodecParams,
-    ContainerInfo,
-    FrameInfo,
-    FrameMode,
-    PassFrame,
-    compress,
-    decode_pass,
-    decompress,
-    encode_pass,
-    inspect_container,
-    mark_equalities,
-    parse_frame,
-)
-from .errors import (
-    BadChildOrdinal,
-    BadMagic,
-    BitBeyondLength,
-    ChildOutOfRange,
-    LengthMismatch,
-    MalformedFrame,
-    MalformedStream,
-    MalformedTree,
-    OrtcError,
-    RootHasNoParent,
-    TooManyPasses,
-    UnsupportedAlphabet,
-    UnsupportedVersion,
-    ZeroCompressedSize,
-)
-from .tree import (
-    OrtTree,
-    RepeatBitmap,
-    bitmap_to_tree,
-    kth_child,
-    parent,
-    parse_tree,
-    serialize_tree,
-    tree_depth,
-    tree_to_bitmap,
-)
+from . import baselines, bench, codec, errors, tree
+from .baselines import *
+from .bench import *
+from .codec import *
+from .errors import *
+from .tree import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # tree
-    "OrtTree",
-    "RepeatBitmap",
-    "parent",
-    "kth_child",
-    "tree_depth",
-    "bitmap_to_tree",
-    "tree_to_bitmap",
-    "serialize_tree",
-    "parse_tree",
-    # codec
-    "CodecParams",
-    "PassFrame",
-    "FrameMode",
-    "FrameInfo",
-    "ContainerInfo",
-    "MAGIC",
-    "VERSION",
-    "CONTAINER_OVERHEAD",
-    "FRAME_OVERHEAD",
-    "mark_equalities",
-    "encode_pass",
-    "decode_pass",
-    "parse_frame",
-    "compress",
-    "decompress",
-    "inspect_container",
-    # baselines
-    "PRLC1_MAX_RUN",
-    "PRLC2_MAX_RUN",
-    "prlc1_encode",
-    "prlc1_decode",
-    "prlc2_encode",
-    "prlc2_decode",
-    # bench
-    "CorpusItem",
-    "BenchRow",
-    "CODEC_ORDER",
-    "compression_ratio",
-    "load_corpus",
-    "run_bench",
-    "render_report",
-    # errors
-    "OrtcError",
-    "RootHasNoParent",
-    "BadChildOrdinal",
-    "ChildOutOfRange",
-    "MalformedTree",
-    "BitBeyondLength",
-    "MalformedFrame",
-    "BadMagic",
-    "UnsupportedVersion",
-    "LengthMismatch",
-    "TooManyPasses",
-    "MalformedStream",
-    "UnsupportedAlphabet",
-    "ZeroCompressedSize",
-]
+__all__ = ["__version__", *tree.__all__, *codec.__all__, *baselines.__all__, *bench.__all__, *errors.__all__]

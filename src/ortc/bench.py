@@ -135,19 +135,18 @@ def _render_markdown(rows: Sequence[BenchRow]) -> str:
     # Pivot to one row per item, one ratio column per codec.
     columns = ["#", "Item"] + [c for c in CODEC_ORDER if any(r.codec == c for r in rows)]
 
-    items: list[tuple[int, str]] = []
-    cells: dict[tuple[str, str], str] = {}
+    # keyed by corpus index: item names need not be unique
+    items: dict[int, str] = {}
+    cells: dict[tuple[int, str], str] = {}
     for row in rows:
-        key = (row.index, row.item)
-        if key not in items:
-            items.append(key)
-        cells[(row.item, row.codec)] = row.error if row.error else f"{row.ratio:.3f}"
+        items.setdefault(row.index, row.item)
+        cells[(row.index, row.codec)] = row.error if row.error else f"{row.ratio:.3f}"
 
     lines = ["| " + " | ".join(columns) + " |"]
     lines.append("|" + "|".join("---:" if c != "Item" else ":---" for c in columns) + "|")
-    for index, name in items:
+    for index, name in items.items():
         cols = [str(index), name]
-        cols.extend(cells.get((name, codec), "") for codec in columns[2:])
+        cols.extend(cells.get((index, codec), "") for codec in columns[2:])
         lines.append("| " + " | ".join(cols) + " |")
     return "\n".join(lines) + "\n"
 

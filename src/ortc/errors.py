@@ -1,5 +1,22 @@
 """Exception hierarchy shared across the codec, tree, baseline and bench layers."""
 
+__all__ = [
+    "OrtcError",
+    "RootHasNoParent",
+    "BadChildOrdinal",
+    "ChildOutOfRange",
+    "MalformedTree",
+    "BitBeyondLength",
+    "MalformedFrame",
+    "BadMagic",
+    "UnsupportedVersion",
+    "LengthMismatch",
+    "TooManyPasses",
+    "MalformedStream",
+    "UnsupportedAlphabet",
+    "ZeroCompressedSize",
+]
+
 
 class OrtcError(Exception):
     """Base class for every error this package raises deliberately."""

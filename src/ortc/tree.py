@@ -53,8 +53,6 @@ FANOUT = 8
 
 # Child ordinals (0-based, ascending) whose presence bits are set in a mask byte.
 _CHILDREN = tuple(tuple(k for k in range(FANOUT) if byte & (0x80 >> k)) for byte in range(256))
-# The same as a 256 x 8 bool table: [byte, k] says child ordinal k is present.
-_PRESENT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(bool)
 
 
 def parent(r: int) -> int:
@@ -241,7 +239,7 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
             raise MalformedTree("node stream truncated")
         arr = np.frombuffer(data, dtype=np.uint8)
         offsets = np.array(twig_pos, dtype=np.intp)
-        present = _PRESENT[arr[offsets]]
+        present = np.unpackbits(arr[offsets, None], axis=1).view(bool)  # [twig, k]: child k present
         # row-major selection keeps preorder: twig by twig, children in order
         dest = (FANOUT * np.array(twig_slot, dtype=np.intp)[:, None] + np.arange(FANOUT))[present]
         counts = present.sum(axis=1)

@@ -125,6 +125,15 @@ class TestRenderReport:
         header = render_report(rows, "markdown").splitlines()[0]
         assert header == "| # | Item | ort | prlc2 | prlc1 | stored |"
 
+    def test_markdown_same_named_items_keep_their_own_ratios(self):
+        corpus = [CorpusItem("a", bytes(1000)), CorpusItem("a", bytes(range(256)))]
+        rows = run_bench(corpus, ["ort", "stored"], CodecParams())
+        assert rows[0].ratio != rows[2].ratio
+        lines = render_report(rows, "markdown").splitlines()[2:]
+        assert lines == [
+            f"| {i} | a | {rows[2 * i - 2].ratio:.3f} | {rows[2 * i - 1].ratio:.3f} |" for i in (1, 2)
+        ]
+
     def test_empty_rows_render_headers_only(self):
         assert render_report([], "csv") == "index,item,codec,uncompressed,compressed,cr\n"
         md = render_report([], "markdown").splitlines()
