@@ -189,29 +189,28 @@ def decode_pass(frame: PassFrame) -> bytes:
     except MalformedTree as exc:
         raise MalformedFrame(f"bad position tree: {exc}") from exc
 
-    if bool(bits[: frame.stride].any()):
+    stride = frame.stride
+    if bool(bits[:stride].any()):
         raise MalformedFrame("repeat flagged before one full stride")
     kept = np.frombuffer(frame.kept, dtype=np.uint8)
-    unset = ~bits
-    if int(unset.sum()) != kept.size:
-        raise MalformedFrame(
-            f"kept stream holds {kept.size} bytes, bitmap expects {int(unset.sum())}"
-        )
+    repeats = np.count_nonzero(bits)
+    if n - repeats != kept.size:
+        raise MalformedFrame(f"kept stream holds {kept.size} bytes, bitmap expects {n - repeats}")
 
-    out = np.empty(n, dtype=np.uint8)
-    out[unset] = kept
-    if bits.any():
-        for r in range(frame.stride):
-            lane_bits = bits[r :: frame.stride]
-            if not lane_bits.any():
-                continue
-            # index of the nearest anchor at or before each lane slot
-            anchor = np.arange(lane_bits.size, dtype=np.int32 if lane_bits.size < 2**31 else np.intp)
-            anchor[lane_bits] = 0
-            np.maximum.accumulate(anchor, out=anchor)
-            lane = out[r :: frame.stride]
-            lane[...] = lane[anchor]
-    return out.tobytes()
+    rows = -(-n // stride)
+    keep = np.zeros((rows, stride), dtype=bool)  # the last row padded with repeats
+    np.logical_not(bits, out=keep.reshape(-1)[:n])
+    del bits
+    # lane-major repeat bits and a kept sentinel: every lane starts with a
+    # kept byte, so each maximal run of repeats copies the byte before it
+    lanes = np.zeros(keep.size + 1, dtype=bool)
+    np.logical_not(keep.T, out=lanes[:-1].reshape(stride, rows))
+    out = np.empty((rows, stride), dtype=np.uint8)
+    out[keep] = kept
+    del keep
+    edges = np.flatnonzero(lanes[1:] != lanes[:-1])  # pairs: the kept byte before a run, its last repeat
+    out.T[lanes[:-1].reshape(stride, rows)] = np.repeat(out.T.flat[edges[::2]], edges[1::2] - edges[::2])
+    return out.reshape(-1)[:n].tobytes()
 
 
 def _read_frame_header(view: memoryview, offset: int) -> tuple[FrameMode, int, int, int, int]:

@@ -22,10 +22,11 @@ preorder by one lexsort on (leftmost leaf covered, level): disjoint subtrees
 fall in leaf order, and a node comes before the descendants that share its
 leftmost leaf.
 
-Walking is sequential over the internal nodes only.  A node one level above
-the leaves is followed directly by its popcount(mask) leaf bytes, so the walk
-records its offset and skips them; after the walk one numpy gather scatters
-every leaf byte into its block.
+Walking loops in Python only down to the stems, the nodes two levels above
+the leaves.  A stem's twigs (nodes one level above the leaves) follow it, each
+directly followed by its popcount(mask) leaf bytes, so the loop steps over
+them and records only each twig's offset.  After the loop the stem masks give
+the twig slots and one numpy gather scatters every leaf byte into its block.
 """
 
 from __future__ import annotations
@@ -193,6 +194,14 @@ def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     return OrtTree(-(-bits.size // 8), len(levels) - 1, _preorder(levels))
 
 
+def _children(
+    arr: np.ndarray, offsets: list[int] | np.ndarray, slots: list[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of the present children of the mask bytes at offsets, node by node, and each node's count."""
+    present = np.unpackbits(arr[offsets, None], axis=1).view(bool)  # [node, k]: child k present
+    return (FANOUT * np.asarray(slots, dtype=np.intp)[:, None] + np.arange(FANOUT))[present], present.sum(axis=1)
+
+
 def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """Read the tree for a `length`-bit bitmap from the front of data.
 
@@ -201,50 +210,52 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     pointing past the last block, and BitBeyondLength on a leaf bit at or past
     `length`.
     """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
     covered = [-(-num_blocks // FANOUT ** (depth - lvl)) for lvl in range(depth + 1)]
     leaves = np.zeros(num_blocks, dtype=np.uint8)
-    size = len(data)
-    if size == 0:
-        raise MalformedTree("node stream truncated")
-    if depth == 0:
-        leaves[0] = data[0]
-        pos = 1
-    else:
-        twig = depth - 1  # the level whose children are leaves
-        twig_pos: list[int] = []
-        twig_slot: list[int] = []
-        pos = 0
-        stack = [(0, 0)]
+    arr = np.frombuffer(data, dtype=np.uint8)
+    stems, stem_slots, twigs, twig_slots = [], [], [], []
+    stem = depth - 2  # the level whose children are twigs
+    pos, stack = 0, [(0, 0)] if depth > 1 else []
+    try:
+        if depth == 0:
+            leaves[0] = data[0]
+            pos = 1
+        elif depth == 1:  # the root is the only twig
+            twigs, twig_slots, pos = [0], [0], 1 + len(_CHILDREN[data[0]])
         while stack:
             level, slot = stack.pop()
-            if pos >= size:
-                raise MalformedTree("node stream truncated")
             children = _CHILDREN[data[pos]]
             if children and FANOUT * slot + children[-1] >= covered[level + 1]:
                 raise MalformedTree(
                     f"presence bit for child slot {FANOUT * slot + children[-1]} past {covered[level + 1]} blocks"
                 )
-            if level == twig:
-                # its leaf bytes follow it directly; gathered after the walk
-                twig_pos.append(pos)
-                twig_slot.append(slot)
-                pos += 1 + len(children)
-            else:
-                pos += 1
-                # reversed so pops come out in child order
+            pos += 1
+            if level == stem:
+                stems.append(pos - 1)
+                stem_slots.append(slot)
+                for _ in children:  # a twig, then its popcount(mask) leaf bytes
+                    twigs.append(pos)
+                    pos += 1 + len(_CHILDREN[data[pos]])
+            else:  # reversed so pops come out in child order
                 stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
-        if pos > size:
-            raise MalformedTree("node stream truncated")
-        arr = np.frombuffer(data, dtype=np.uint8)
-        offsets = np.array(twig_pos, dtype=np.intp)
-        present = np.unpackbits(arr[offsets, None], axis=1).view(bool)  # [twig, k]: child k present
-        # row-major selection keeps preorder: twig by twig, children in order
-        dest = (FANOUT * np.array(twig_slot, dtype=np.intp)[:, None] + np.arange(FANOUT))[present]
-        counts = present.sum(axis=1)
-        first = np.cumsum(counts) - counts  # index in dest of each twig's first leaf
-        leaves[dest] = arr[np.repeat(offsets + 1 - first, counts) + np.arange(dest.size)]
+    except IndexError:
+        raise MalformedTree("node stream truncated") from None
+    if pos > len(data):
+        raise MalformedTree("node stream truncated")
+    if stems:
+        twig_slots = _children(arr, stems, stem_slots)[0]
+    offsets = np.array(twigs, dtype=np.intp)
+    # row-major selection keeps preorder, twig by twig and children in order,
+    # so slots ascend and only the last can be past the last block
+    dest, counts = _children(arr, offsets, twig_slots)
+    if dest.size and dest[-1] >= num_blocks:
+        raise MalformedTree(f"presence bit for child slot {dest[-1]} past {num_blocks} blocks")
+    first = np.cumsum(counts) - counts  # index in dest of each twig's first leaf
+    leaves[dest] = arr[np.repeat(offsets + 1 - first, counts) + np.arange(dest.size)]
     bits = np.unpackbits(leaves).view(bool)
     if bool(bits[length:].any()):
         raise BitBeyondLength(f"set bit past position {length}")
@@ -253,10 +264,10 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
 
 def tree_to_bitmap(tree: OrtTree, length: int) -> RepeatBitmap:
     """Invert bitmap_to_tree for a bitmap of the given length."""
+    bits, consumed = _walk(tree.nodes, length)  # first, so a negative length raises ValueError
     num_blocks = -(-length // 8)
     if tree.num_blocks != num_blocks:
         raise MalformedTree(f"tree spans {tree.num_blocks} blocks, length {length} needs {num_blocks}")
-    bits, consumed = _walk(tree.nodes, length)
     if consumed != len(tree.nodes):
         raise MalformedTree(f"{len(tree.nodes) - consumed} trailing node bytes")
     return RepeatBitmap(bits)

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from ortc.errors import (
     TooManyPasses,
     UnsupportedVersion,
 )
+from ortc.tree import RepeatBitmap, bitmap_to_tree
 
 from oracles import naive_compress, naive_decode_frame, naive_decompress, naive_mark
 
@@ -248,6 +250,53 @@ class TestDecodePass:
     def test_stored_frame_roundtrip(self):
         frame = PassFrame(FrameMode.STORED, 5, 4, b"abcd", b"")
         assert decode_pass(frame) == b"abcd"
+
+    @staticmethod
+    def repeat_positions(kind, stride, n, rng):
+        """Repeat positions at or past one stride: every one, runs, or a few."""
+        if kind == "all_repeat":
+            return set(range(stride, n))
+        if kind == "sparse":
+            return {p for p in range(stride, n) if rng.random() < 0.05}
+        positions, p = set(), stride + rng.randrange(3)
+        while p < n:
+            run = rng.randrange(1, 3 * stride + 2)
+            positions.update(range(p, min(p + run, n)))
+            p += run + rng.randrange(1, 4)
+        return positions
+
+    # lengths one short of, at and one past whole rows of `stride` lanes
+    @pytest.mark.parametrize("kind", ["all_repeat", "runs", "sparse"])
+    def test_matches_oracle_at_every_stride_and_row_boundary(self, kind):
+        rng = random.Random(kind)
+        for stride in range(1, 256):
+            k = rng.randrange(1, 4)
+            for n in (k * stride - 1, k * stride, k * stride + 1):
+                positions = self.repeat_positions(kind, stride, n, rng)
+                kept = rng.randbytes(n - len(positions))
+                tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+                frame = PassFrame(FrameMode.ORT, stride, n, kept, tree)
+                assert decode_pass(frame) == naive_decode_frame(frame.to_bytes())
+                if not positions:
+                    continue  # a longer kept stream would not fit the frame
+                for bad in (kept[:-1], kept + b"\x00"):
+                    with pytest.raises(MalformedFrame):
+                        decode_pass(PassFrame(FrameMode.ORT, stride, n, bad, tree))
+
+    @pytest.mark.parametrize("stride", [1, 2, 7])
+    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride):
+        n = 1 << 20
+        frame = encode_pass(bytes(n), stride, 3)
+        assert frame.mode == FrameMode.ORT
+        tracemalloc.start()
+        try:
+            out = decode_pass(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == bytes(n)
+        # no array of an index per input byte: those take 4 or 8 bytes each
+        assert peak <= 5.5 * n
 
 
 class TestParseFrame:

@@ -233,6 +233,89 @@ class TestMalformedTrees:
             tree_to_bitmap(tree, 4)
         assert tree_to_bitmap(tree, 6).positions() == [5]
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            parse_tree(b"\x00", -5)
+        for tree in (OrtTree(0, 0, b"\x00"), OrtTree(1, 0, b"\x00"), OrtTree(2, 1, b"\x00")):
+            for length in (-1, -5, -8, -9):
+                with pytest.raises(ValueError):
+                    tree_to_bitmap(tree, length)
+
+
+def node_levels(data, n_bits):
+    """Level of each node byte of a well-formed tree, in preorder."""
+    depth = naive_depth(ceil_div(n_bits, 8))
+    levels = []
+
+    def walk(level):
+        value = data[len(levels)]
+        levels.append(level)
+        if level < depth:
+            for k in range(8):
+                if value & (0x80 >> k):
+                    walk(level + 1)
+
+    walk(0)
+    return levels
+
+
+def assert_rejected_like_oracle(data, n):
+    """parse_tree raises what naive_parse_tree's failure names."""
+    with pytest.raises(ValueError) as oracle:
+        naive_parse_tree(data, n)
+    expected = BitBeyondLength if "bit beyond" in str(oracle.value) else MalformedTree
+    with pytest.raises(MalformedTree) as info:
+        parse_tree(data, n)
+    assert type(info.value) is expected
+
+
+class TestWalkDepthBoundaries:
+    # the root is a leaf (1 block), a twig (2..8), a stem (9..64), or above a stem
+    @pytest.mark.parametrize("num_blocks", [1, 8, 9, 64, 65, 512, 513])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_round_trip_matches_oracle(self, num_blocks, density):
+        rng = random.Random(num_blocks)
+        for n in (8 * num_blocks, 8 * num_blocks - 3):
+            positions = {p for p in range(n) if rng.random() < density}
+            data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+            tree, consumed = parse_tree(data + b"\xff", n)
+            assert naive_parse_tree(data, n) == (positions, consumed)
+            assert tree_to_bitmap(tree, n).positions() == sorted(positions)
+
+    def fault_tree(self, num_blocks):
+        """A tree under at least one stem whose stream ends with the leaf run
+        of the last twig, and the preorder level of each of its bytes."""
+        rng = random.Random(num_blocks)
+        n = 8 * num_blocks
+        positions = {p for p in range(n) if rng.random() < 0.3} | {n - 8}
+        data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+        assert tree_depth(num_blocks) >= 2
+        return data, n, node_levels(data, n)
+
+    @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
+    def test_leaf_run_cut_at_end_of_stream(self, num_blocks):
+        data, n, levels = self.fault_tree(num_blocks)
+        depth = tree_depth(num_blocks)
+        last_twig = max(i for i, lvl in enumerate(levels) if lvl == depth - 1)
+        for end in range(last_twig + 1, len(data)):
+            assert_rejected_like_oracle(data[:end], n)
+
+    @pytest.mark.parametrize("num_blocks", [9, 65, 513])
+    def test_presence_bit_past_last_block_on_last_twig(self, num_blocks):
+        data, n, levels = self.fault_tree(num_blocks)
+        depth = tree_depth(num_blocks)
+        last_twig = max(i for i, lvl in enumerate(levels) if lvl == depth - 1)
+        bad = bytearray(data)
+        bad[last_twig] |= 0x80 >> (num_blocks % 8)  # child slot num_blocks
+        assert_rejected_like_oracle(bytes(bad) + b"\x80", n)  # with a leaf byte for it
+
+    @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
+    def test_stream_ends_right_after_a_stem(self, num_blocks):
+        data, n, levels = self.fault_tree(num_blocks)
+        stems = [i for i, lvl in enumerate(levels) if lvl == tree_depth(num_blocks) - 2]
+        for stem in (stems[0], stems[len(stems) // 2], stems[-1]):
+            assert_rejected_like_oracle(data[: stem + 1], n)
+
 
 class TestParseDifferential:
     @settings(max_examples=400, deadline=None)
