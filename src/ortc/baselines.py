@@ -13,12 +13,17 @@ Two schemes:
   the high bit set says "repeat the previous literal (count-1 & 0x7f) more
   times".  One value/count pair covers at most 128 bytes.  Inputs with any
   byte >= 128 are rejected.
+
+Both encoders share one pass: the codec's own run marker finds the runs of
+3+, and one np.repeat sizes and fills the body before the count and flag
+bytes are written in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .codec import _mark_bits
 from .errors import MalformedStream, UnsupportedAlphabet
 
 __all__ = [
@@ -35,44 +40,42 @@ PRLC2_MAX_RUN = 128
 _RUN_THRESHOLD = 3  # shorter runs stay literal
 
 
-def _runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of maximal equal runs."""
-    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
-    lengths = np.diff(np.concatenate((starts, [arr.size])))
-    return starts, lengths
+def _encode_runs(arr: np.ndarray, max_run: int, base: int, flag: int | None) -> bytes:
+    """Tokens [flag] value (base | chunk - 1), chunks of at most max_run, for
+    each run of 3+ and each run of the flag; tails below 3 of other runs stay literal."""
+    special = _mark_bits(arr, 1, _RUN_THRESHOLD)  # every byte of a run of 3+ but its head
+    special[:-1] |= special[1:]
+    if flag is not None:
+        special |= arr == flag
+    heads = special.copy()
+    heads[1:] &= ~special[:-1] | (arr[1:] != arr[:-1])
+    starts = np.flatnonzero(heads)
+    lengths = np.add.reduceat(special, starts, dtype=np.intp)
+    full, tail = np.divmod(lengths, max_run)
+    coded = tail >= _RUN_THRESHOLD
+    if flag is not None:  # flag bytes are never left bare
+        coded |= (tail > 0) & (arr[starts] == flag)
+    tokens = full + coded
+    size = 2 if flag is None else 3
+    emitted = tokens * size + np.where(coded, 0, tail)
+    # a head byte fills its run's tokens and literal tail; counts and flags overwrite it below
+    counts = (~special).astype(np.intp)
+    counts[starts] = emitted
+    out = np.repeat(arr, counts)
+    firsts = starts + np.cumsum(emitted - lengths) - (emitted - lengths)  # each run's output offset
+    offsets = np.repeat(firsts - size * (np.cumsum(tokens) - tokens), tokens) + size * np.arange(tokens.sum())
+    out[offsets + size - 1] = base | (max_run - 1)
+    out[firsts + size * tokens - 1] = base | (np.where(coded, tail, max_run) - 1)
+    if flag is not None:
+        out[offsets] = flag
+    return out.tobytes()
 
 
 def prlc1_encode(data: bytes) -> tuple[int, bytes]:
     """Encode with an escape byte; returns (flag, body)."""
-    data = bytes(data)
-    if not data:
-        return 0, b""
-    arr = np.frombuffer(data, dtype=np.uint8)
+    arr = np.frombuffer(bytes(data), dtype=np.uint8)
     flag = int(np.argmin(np.bincount(arr, minlength=256)))  # first minimum = smallest value
-
-    starts, lengths = _runs(arr)
-    values = arr[starts]
-    special = (lengths >= _RUN_THRESHOLD) | (values == flag)
-    out = bytearray()
-    copied = 0
-    for i in np.flatnonzero(special):
-        start, remaining, value = int(starts[i]), int(lengths[i]), int(values[i])
-        out += data[copied:start]
-        copied = start + remaining
-        if value == flag:
-            # flag bytes are never emitted bare, whatever the run length
-            while remaining > 0:
-                chunk = min(remaining, PRLC1_MAX_RUN)
-                out += bytes((flag, value, chunk - 1))
-                remaining -= chunk
-        else:
-            while remaining >= _RUN_THRESHOLD:
-                chunk = min(remaining, PRLC1_MAX_RUN)
-                out += bytes((flag, value, chunk - 1))
-                remaining -= chunk
-            out += bytes([value]) * remaining
-    out += data[copied:]
-    return flag, bytes(out)
+    return flag, _encode_runs(arr, PRLC1_MAX_RUN, 0x00, flag)
 
 
 def prlc1_decode(flag: int, body: bytes) -> bytes:
@@ -97,28 +100,11 @@ def prlc1_decode(flag: int, body: bytes) -> bytes:
 
 def prlc2_encode(data: bytes) -> bytes:
     """Encode 7-bit data with MSB-flagged count bytes."""
-    data = bytes(data)
-    if not data:
-        return b""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if int(arr.max()) >= 128:
+    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    if arr.size and int(arr.max()) >= 128:
         offender = int(arr[np.argmax(arr >= 128)])
         raise UnsupportedAlphabet(f"byte {offender:#04x} needs the high bit reserved for counts")
-
-    starts, lengths = _runs(arr)
-    out = bytearray()
-    copied = 0
-    for i in np.flatnonzero(lengths >= _RUN_THRESHOLD):
-        start, remaining, value = int(starts[i]), int(lengths[i]), int(arr[starts[i]])
-        out += data[copied:start]
-        copied = start + remaining
-        while remaining >= _RUN_THRESHOLD:
-            chunk = min(remaining, PRLC2_MAX_RUN)
-            out += bytes((value, 0x80 | (chunk - 1)))
-            remaining -= chunk
-        out += bytes([value]) * remaining
-    out += data[copied:]
-    return bytes(out)
+    return _encode_runs(arr, PRLC2_MAX_RUN, 0x80, None)
 
 
 def prlc2_decode(body: bytes) -> bytes:

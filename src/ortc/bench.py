@@ -59,12 +59,11 @@ def compression_ratio(uncompressed: int, compressed: int) -> float:
 def load_corpus(directory: str | Path) -> list[CorpusItem]:
     """All regular files in a directory, as opaque byte streams, sorted by name."""
     root = Path(directory)
-    items = [
+    return [
         CorpusItem(p.name, p.read_bytes())
         for p in sorted(root.iterdir(), key=lambda p: p.name)
         if p.is_file()
     ]
-    return items
 
 
 def _roundtrip(codec: str, data: bytes, params: CodecParams) -> tuple[int, bytes]:
@@ -92,9 +91,11 @@ def run_bench(
     """One verified row per (item, codec), in corpus x codec order."""
     if not corpus:
         raise ValueError("corpus is empty")
-    for codec in codecs:
+    for i, codec in enumerate(codecs):
         if codec not in CODEC_ORDER:
             raise ValueError(f"unknown codec {codec!r}")
+        if codec in codecs[:i]:
+            raise ValueError(f"codec {codec!r} given twice")
     if params is None:
         params = CodecParams()
 
@@ -145,7 +146,7 @@ def _render_markdown(rows: Sequence[BenchRow]) -> str:
     lines = ["| " + " | ".join(columns) + " |"]
     lines.append("|" + "|".join("---:" if c != "Item" else ":---" for c in columns) + "|")
     for index, name in items.items():
-        cols = [str(index), name]
+        cols = [str(index), " ".join(name.splitlines()).replace("|", "\\|")]  # one cell, one row
         cols.extend(cells.get((index, codec), "") for codec in columns[2:])
         lines.append("| " + " | ".join(cols) + " |")
     return "\n".join(lines) + "\n"

@@ -110,9 +110,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (TooManyPasses, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     codecs = tuple(name.strip() for name in args.codecs.split(",") if name.strip())
-    for name in codecs:
+    for i, name in enumerate(codecs):
         if name not in CODEC_ORDER:
             return _fail(EXIT_USAGE, f"unknown codec {name!r} (choose from {', '.join(CODEC_ORDER)})")
+        if name in codecs[:i]:
+            return _fail(EXIT_USAGE, f"codec {name!r} given twice")
     if not codecs:
         return _fail(EXIT_USAGE, "no codecs selected")
 

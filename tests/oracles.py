@@ -2,16 +2,17 @@
 
 Everything here is written for clarity, not speed, and shares no code or
 numpy shortcuts with the package under test: positions are plain ints, trees
-are built recursively, decoding expands the bitmap positionally.  The two RLE
-baseline decoders at the end are the exception: they are the loop decoders
-the package used before it decoded with one np.repeat, kept as they were.
+are built recursively, decoding expands the bitmap positionally.  The RLE
+baseline encoders and decoders at the end are the exception: they are the
+loops, one step per run or escape, that the package used before it encoded
+from the codec's run marker and decoded with one np.repeat, kept as they were.
 """
 
 import struct
 
 import numpy as np
 
-from ortc.errors import MalformedStream
+from ortc.errors import MalformedStream, UnsupportedAlphabet
 
 CONTAINER_HDR = struct.Struct("<4sBBBBQ")
 FRAME_HDR = struct.Struct("<BBQQ")
@@ -203,6 +204,72 @@ def naive_decompress(blob):
         buf = naive_decode_frame(buf)
     assert len(buf) == orig_len
     return bytes(buf)
+
+
+def _runs(arr):
+    """Starts and lengths of maximal equal runs."""
+    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+    lengths = np.diff(np.concatenate((starts, [arr.size])))
+    return starts, lengths
+
+
+def naive_prlc1_encode(data: bytes) -> tuple[int, bytes]:
+    """Encode with an escape byte; returns (flag, body)."""
+    data = bytes(data)
+    if not data:
+        return 0, b""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    flag = int(np.argmin(np.bincount(arr, minlength=256)))  # first minimum = smallest value
+
+    starts, lengths = _runs(arr)
+    values = arr[starts]
+    special = (lengths >= 3) | (values == flag)
+    out = bytearray()
+    copied = 0
+    for i in np.flatnonzero(special):
+        start, remaining, value = int(starts[i]), int(lengths[i]), int(values[i])
+        out += data[copied:start]
+        copied = start + remaining
+        if value == flag:
+            # flag bytes are never emitted bare, whatever the run length
+            while remaining > 0:
+                chunk = min(remaining, 256)
+                out += bytes((flag, value, chunk - 1))
+                remaining -= chunk
+        else:
+            while remaining >= 3:
+                chunk = min(remaining, 256)
+                out += bytes((flag, value, chunk - 1))
+                remaining -= chunk
+            out += bytes([value]) * remaining
+    out += data[copied:]
+    return flag, bytes(out)
+
+
+def naive_prlc2_encode(data: bytes) -> bytes:
+    """Encode 7-bit data with MSB-flagged count bytes."""
+    data = bytes(data)
+    if not data:
+        return b""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    if int(arr.max()) >= 128:
+        offender = int(arr[np.argmax(arr >= 128)])
+        raise UnsupportedAlphabet(f"byte {offender:#04x} needs the high bit reserved for counts")
+
+    starts, lengths = _runs(arr)
+    out = bytearray()
+    copied = 0
+    for i in np.flatnonzero(lengths >= 3):
+        start, remaining, value = int(starts[i]), int(lengths[i]), int(arr[starts[i]])
+        out += data[copied:start]
+        copied = start + remaining
+        while remaining >= 3:
+            chunk = min(remaining, 128)
+            out += bytes((value, 0x80 | (chunk - 1)))
+            remaining -= chunk
+        out += bytes([value]) * remaining
+    out += data[copied:]
+    return bytes(out)
 
 
 def naive_prlc1_decode(flag: int, body: bytes) -> bytes:

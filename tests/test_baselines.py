@@ -14,7 +14,7 @@ from ortc.baselines import (
 )
 from ortc.errors import MalformedStream, UnsupportedAlphabet
 
-from oracles import naive_prlc1_decode, naive_prlc2_decode
+from oracles import naive_prlc1_decode, naive_prlc1_encode, naive_prlc2_decode, naive_prlc2_encode
 
 
 def outcome(decode, *args):
@@ -39,6 +39,24 @@ def mutate(body, how, draw):
 runny = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 300)), max_size=30).map(
     lambda runs: b"".join(bytes([v if n == 1 else v % 3]) * n for v, n in runs)
 )
+
+
+# around the threshold of 3 and around whole chunks of 128 and 256 bytes
+RUN_LENGTHS = [*range(1, 5), *range(127, 132), *range(255, 260), *range(511, 516)]
+
+
+def assert_encoders_match_oracles(data):
+    """Both encoders give the loop oracles' bodies, or fail as they do."""
+    assert prlc1_encode(data) == naive_prlc1_encode(data)
+    assert outcome(prlc2_encode, data) == outcome(naive_prlc2_encode, data)
+    low = data.translate(bytes(range(128)) * 2)  # each byte with its high bit cleared
+    assert prlc2_encode(low) == naive_prlc2_encode(low)
+
+
+def with_flag(data, flag):
+    """data, then a run of every other value longer than data, so that flag
+    is the least frequent value and prlc1's flag."""
+    return data + b"".join(bytes([v]) * (len(data) + 1) for v in range(256) if v != flag)
 
 
 def walk_prlc1_units(flag, body):
@@ -148,6 +166,66 @@ class TestPrlc1:
         # of them open a triple
         body = bytes(values)
         assert outcome(prlc1_decode, flag, body) == outcome(naive_prlc1_decode, flag, body)
+
+
+class TestEncodeMatchesLoopOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=2000), runny))
+    def test_any_bytes(self, data):
+        assert_encoders_match_oracles(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=300))))
+    def test_dense_few_symbols(self, drawn):
+        k, values = drawn
+        dense = bytes(values)
+        assert_encoders_match_oracles(dense)
+        # every other value more often than the dense part can hold any
+        # symbol, so the flag is the dense part's least frequent symbol
+        data = dense + bytes(range(k, 256)) * (len(dense) + 1)
+        assert prlc1_encode(data)[0] < k
+        assert_encoders_match_oracles(data)
+
+    @pytest.mark.parametrize("length", RUN_LENGTHS)
+    def test_runs_of_other_values(self, length):
+        run = b"\x05" * length
+        for data in (run, b"ab" + run, run + b"cd", b"ab" + run + b"cd", b"\x05\x06" + run + b"\x06\x05"):
+            assert prlc1_encode(data)[0] != 0x05
+            assert_encoders_match_oracles(data)
+
+    @pytest.mark.parametrize("length", RUN_LENGTHS)
+    def test_runs_of_the_flag(self, length):
+        for flag in (0x00, 0x05):
+            run = bytes([flag]) * length
+            for data in (with_flag(run, flag), with_flag(b"\x06\x07" + run + b"\x07\x06", flag)):
+                assert prlc1_encode(data)[0] == flag
+                assert_encoders_match_oracles(data)
+
+    @pytest.mark.parametrize("first", [3, 4, 5, 128, 129, 256, 257, 259])
+    @pytest.mark.parametrize("second", [1, 2, 3, 4, 131, 258])
+    def test_adjacent_distinct_runs(self, first, second):
+        data = b"a" * first + b"b" * second
+        assert_encoders_match_oracles(data)
+        for flag in b"ab":  # a flag run meets another run on either side
+            assert prlc1_encode(with_flag(data, flag))[0] == flag
+            assert_encoders_match_oracles(with_flag(data, flag))
+
+    def test_aaabbb(self):
+        assert prlc1_encode(b"aaabbb") == (0x00, bytes([0x00, 0x61, 2, 0x00, 0x62, 2]))
+        assert prlc2_encode(b"aaabbb") == bytes([0x61, 0x82, 0x62, 0x82])
+
+    def test_flag_runs_of_one_and_two(self):
+        others = bytes(range(1, 256)) * 3
+        data = others + b"\x00" + others + b"\x00\x00"
+        assert prlc1_encode(data) == (0x00, others + bytes([0x00, 0x00, 0]) + others + bytes([0x00, 0x00, 1]))
+        assert_encoders_match_oracles(data)
+
+    def test_one_and_two_byte_inputs(self):
+        for a in range(256):
+            assert_encoders_match_oracles(bytes([a]))
+        for a in (0x00, 0x01, 0x7F, 0x80, 0xFF):
+            for b in (0x00, 0x01, 0x7F, 0x80, 0xFF):
+                assert_encoders_match_oracles(bytes([a, b]))
 
 
 class TestPrlc2:

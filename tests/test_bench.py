@@ -77,6 +77,10 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([CorpusItem("a", b"x")], ["gzip"])
 
+    def test_rejects_repeated_codec(self):
+        with pytest.raises(ValueError, match="'ort'"):
+            run_bench([CorpusItem("a", b"x")], ("ort", "prlc1", "ort"))
+
     def test_every_ratio_is_roundtrip_verified(self):
         rng = random.Random(4)
         corpus = [
@@ -133,6 +137,11 @@ class TestRenderReport:
         assert lines == [
             f"| {i} | a | {rows[2 * i - 2].ratio:.3f} | {rows[2 * i - 1].ratio:.3f} |" for i in (1, 2)
         ]
+
+    def test_markdown_awkward_names_stay_one_cell_one_row(self):
+        rows = [BenchRow(1, "a|b", "ort", 10, 10, 1.0), BenchRow(2, "x\ny\r\nz", "ort", 10, 10, 1.0)]
+        lines = render_report(rows, "markdown").splitlines()
+        assert lines[2:] == ["| 1 | a\\|b | 1.000 |", "| 2 | x y z | 1.000 |"]
 
     def test_empty_rows_render_headers_only(self):
         assert render_report([], "csv") == "index,item,codec,uncompressed,compressed,cr\n"

@@ -165,6 +165,12 @@ class TestBench:
         code, _, err = run(capsys, "bench", str(corpus_dir), "--codecs", "zstd")
         assert code == 2
 
+    def test_repeated_codec(self, corpus_dir, capsys):
+        code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", "ort,prlc2,ort", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "'ort'" in err
+
     def test_identical_invocations_identical_outputs(self, corpus_dir, tmp_path, capsys):
         packed1 = tmp_path / "a.ortc"
         packed2 = tmp_path / "b.ortc"
