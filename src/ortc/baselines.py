@@ -71,10 +71,21 @@ def _encode_runs(arr: np.ndarray, max_run: int, base: int, flag: int | None) -> 
     return out.tobytes()
 
 
+def _byte_counts(arr: np.ndarray) -> np.ndarray:
+    """np.bincount(arr, minlength=256) for uint8 arr, counting byte pairs
+    through a uint16 view so the int64 index copy holds one entry per pair."""
+    even = arr.size & ~1
+    pairs = np.bincount(arr[:even].view(np.uint16), minlength=1 << 16).reshape(256, 256)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)  # either byte of a pair, whatever the byte order
+    if even < arr.size:
+        counts[arr[-1]] += 1
+    return counts
+
+
 def prlc1_encode(data: bytes) -> tuple[int, bytes]:
     """Encode with an escape byte; returns (flag, body)."""
     arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    flag = int(np.argmin(np.bincount(arr, minlength=256)))  # first minimum = smallest value
+    flag = int(np.argmin(_byte_counts(arr)))  # first minimum = smallest value
     return flag, _encode_runs(arr, PRLC1_MAX_RUN, 0x00, flag)
 
 

@@ -25,8 +25,12 @@ leftmost leaf.
 Walking loops in Python only down to the stems, the nodes two levels above
 the leaves.  A stem's twigs (nodes one level above the leaves) follow it, each
 directly followed by its popcount(mask) leaf bytes, so the loop steps over
-them and records only each twig's offset.  After the loop the stem masks give
-the twig slots and one numpy gather scatters every leaf byte into its block.
+them and records only each twig's offset.  After the loop the tree is rebuilt
+top down, one level at a time.  Preorder lists the nodes of any one level in
+slot order, so a level is one boolean scatter of its node bytes where the
+unpacked level above has presence bits: the stems go to their slots, the
+twigs under the stems' bits, and every byte the loop did not record, a leaf,
+under the twigs' bits.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ FANOUT = 8
 
 # Child ordinals (0-based, ascending) whose presence bits are set in a mask byte.
 _CHILDREN = tuple(tuple(k for k in range(FANOUT) if byte & (0x80 >> k)) for byte in range(256))
+# Bytes from a twig to the node after it: the twig and its popcount(mask) leaves.
+_SKIP = bytes(1 + len(children) for children in _CHILDREN)
 
 
 def parent(r: int) -> int:
@@ -194,14 +200,6 @@ def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     return OrtTree(-(-bits.size // 8), len(levels) - 1, _preorder(levels))
 
 
-def _children(
-    arr: np.ndarray, offsets: list[int] | np.ndarray, slots: list[int] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slots of the present children of the mask bytes at offsets, node by node, and each node's count."""
-    present = np.unpackbits(arr[offsets, None], axis=1).view(bool)  # [node, k]: child k present
-    return (FANOUT * np.asarray(slots, dtype=np.intp)[:, None] + np.arange(FANOUT))[present], present.sum(axis=1)
-
-
 def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """Read the tree for a `length`-bit bitmap from the front of data.
 
@@ -215,17 +213,15 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
     covered = [-(-num_blocks // FANOUT ** (depth - lvl)) for lvl in range(depth + 1)]
-    leaves = np.zeros(num_blocks, dtype=np.uint8)
     arr = np.frombuffer(data, dtype=np.uint8)
-    stems, stem_slots, twigs, twig_slots = [], [], [], []
+    upper, stems, stem_slots, twigs = [], [], [], []
     stem = depth - 2  # the level whose children are twigs
     pos, stack = 0, [(0, 0)] if depth > 1 else []
     try:
-        if depth == 0:
-            leaves[0] = data[0]
-            pos = 1
+        if depth == 0:  # the root is the lone leaf, under a virtual twig
+            twig_level, pos = np.array([0x80], dtype=np.uint8), 1
         elif depth == 1:  # the root is the only twig
-            twigs, twig_slots, pos = [0], [0], 1 + len(_CHILDREN[data[0]])
+            twigs, twig_level, pos = [0], arr[:1], _SKIP[data[0]]
         while stack:
             level, slot = stack.pop()
             children = _CHILDREN[data[pos]]
@@ -239,23 +235,31 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
                 stem_slots.append(slot)
                 for _ in children:  # a twig, then its popcount(mask) leaf bytes
                     twigs.append(pos)
-                    pos += 1 + len(_CHILDREN[data[pos]])
+                    pos += _SKIP[data[pos]]
             else:  # reversed so pops come out in child order
+                upper.append(pos - 1)
                 stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
     except IndexError:
         raise MalformedTree("node stream truncated") from None
     if pos > len(data):
         raise MalformedTree("node stream truncated")
-    if stems:
-        twig_slots = _children(arr, stems, stem_slots)[0]
-    offsets = np.array(twigs, dtype=np.intp)
-    # row-major selection keeps preorder, twig by twig and children in order,
-    # so slots ascend and only the last can be past the last block
-    dest, counts = _children(arr, offsets, twig_slots)
-    if dest.size and dest[-1] >= num_blocks:
-        raise MalformedTree(f"presence bit for child slot {dest[-1]} past {num_blocks} blocks")
-    first = np.cumsum(counts) - counts  # index in dest of each twig's first leaf
-    leaves[dest] = arr[np.repeat(offsets + 1 - first, counts) + np.arange(dest.size)]
+    twigs = np.array(twigs, dtype=np.intp)
+    if depth > 1:
+        stem_level = np.zeros(covered[stem], dtype=np.uint8)
+        stem_level[stem_slots] = arr[stems]
+        twig_level = np.zeros(covered[stem + 1], dtype=np.uint8)
+        # the loop has checked every presence bit above the twigs
+        twig_level[np.unpackbits(stem_level).view(bool)[: covered[stem + 1]]] = arr[twigs]
+    present = np.unpackbits(twig_level).view(bool)
+    if bool(present[num_blocks:].any()):
+        last = num_blocks + int(np.flatnonzero(present[num_blocks:])[-1])
+        raise MalformedTree(f"presence bit for child slot {last} past {num_blocks} blocks")
+    is_leaf = np.ones(pos, dtype=bool)  # every byte the loop did not record
+    for offsets in (upper, stems, twigs):
+        is_leaf[offsets] = False
+    leaves = np.zeros(num_blocks, dtype=np.uint8)
+    leaves[present[:num_blocks]] = arr[:pos][is_leaf]
+    del present, is_leaf, upper, stems, stem_slots, twigs  # freed before the bitmap, the largest array
     bits = np.unpackbits(leaves).view(bool)
     if bool(bits[length:].any()):
         raise BitBeyondLength(f"set bit past position {length}")

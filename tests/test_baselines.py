@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ortc.baselines import (
     PRLC1_MAX_RUN,
     PRLC2_MAX_RUN,
+    _byte_counts,
     prlc1_decode,
     prlc1_encode,
     prlc2_decode,
@@ -92,6 +94,14 @@ class TestPrlc1:
     def test_empty(self):
         assert prlc1_encode(b"") == (0, b"")
         assert prlc1_decode(0, b"") == b""
+
+    def test_byte_counts_match_bincount(self):
+        rng = np.random.default_rng(0xB1)
+        inputs = [rng.integers(0, 256, size, dtype=np.uint8) for size in range(258)]
+        inputs += [rng.integers(0, 256, (1 << 16) + 1, dtype=np.uint8), rng.integers(250, 256, 4099, dtype=np.uint8)]
+        inputs.append(np.frombuffer(b"\x01" * 1000 + b"\xff", dtype=np.uint8)[1:])  # an odd start address
+        for arr in inputs:
+            assert np.array_equal(_byte_counts(arr), np.bincount(arr, minlength=256))
 
     def test_flag_avoids_present_values_when_possible(self):
         data = bytes(range(1, 256)) * 2  # 0x00 never appears

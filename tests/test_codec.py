@@ -265,6 +265,20 @@ class TestDecodePass:
             p += run + rng.randrange(1, 4)
         return positions
 
+    @staticmethod
+    def check_frame(stride, n, positions, rng):
+        """Decode a frame with repeats at positions against the oracle, and
+        reject its kept stream one byte short and one byte long."""
+        kept = rng.randbytes(n - len(positions))
+        tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+        frame = PassFrame(FrameMode.ORT, stride, n, kept, tree)
+        assert decode_pass(frame) == naive_decode_frame(frame.to_bytes())
+        if not positions:
+            return  # a longer kept stream would not fit the frame
+        for bad in (kept[:-1], kept + b"\x00"):
+            with pytest.raises(MalformedFrame):
+                decode_pass(PassFrame(FrameMode.ORT, stride, n, bad, tree))
+
     # lengths one short of, at and one past whole rows of `stride` lanes
     @pytest.mark.parametrize("kind", ["all_repeat", "runs", "sparse"])
     def test_matches_oracle_at_every_stride_and_row_boundary(self, kind):
@@ -272,21 +286,30 @@ class TestDecodePass:
         for stride in range(1, 256):
             k = rng.randrange(1, 4)
             for n in (k * stride - 1, k * stride, k * stride + 1):
-                positions = self.repeat_positions(kind, stride, n, rng)
-                kept = rng.randbytes(n - len(positions))
-                tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
-                frame = PassFrame(FrameMode.ORT, stride, n, kept, tree)
-                assert decode_pass(frame) == naive_decode_frame(frame.to_bytes())
-                if not positions:
-                    continue  # a longer kept stream would not fit the frame
-                for bad in (kept[:-1], kept + b"\x00"):
-                    with pytest.raises(MalformedFrame):
-                        decode_pass(PassFrame(FrameMode.ORT, stride, n, bad, tree))
+                self.check_frame(stride, n, self.repeat_positions(kind, stride, n, rng), rng)
 
-    @pytest.mark.parametrize("stride", [1, 2, 7])
-    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride):
-        n = 1 << 20
-        frame = encode_pass(bytes(n), stride, 3)
+    # stride-1 frames keeping one byte fewer than, as many as and one more
+    # than n // 8 bytes, on both sides of the gate between the two fills
+    def test_matches_oracle_on_both_sides_of_the_stride_one_fill_gate(self):
+        rng = random.Random("gate")
+        self.check_frame(1, 0, set(), rng)
+        for m in (1, 2, 3, 8, 125):
+            for n in (8 * m - 1, 8 * m, 8 * m + 1):
+                for kept in (n // 8 - 1, n // 8, n // 8 + 1):
+                    if kept < 1:
+                        continue  # position 0 is always kept
+                    kept_at = {0, *rng.sample(range(1, n), kept - 1)}
+                    self.check_frame(1, n, set(range(n)) - kept_at, rng)
+        self.check_frame(1, 4099, set(range(1, 4099)), rng)  # one kept byte, the rest repeats
+
+    @pytest.mark.parametrize(
+        "stride, run", [(1, 1 << 20), (2, 1 << 20), (7, 1 << 20), (1, 16)], ids=["1", "2", "7", "1-runs16"]
+    )
+    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride, run):
+        # 1 MiB of random bytes, each repeated `run` times: one byte throughout, or 16-byte runs
+        data = bytes(b for b in random.Random(run).randbytes((1 << 20) // run) for _ in range(run))
+        n = len(data)
+        frame = encode_pass(data, stride, 3)
         assert frame.mode == FrameMode.ORT
         tracemalloc.start()
         try:
@@ -294,9 +317,9 @@ class TestDecodePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out == bytes(n)
+        assert out == data
         # no array of an index per input byte: those take 4 or 8 bytes each
-        assert peak <= 5.5 * n
+        assert peak <= 3.5 * n
 
 
 class TestParseFrame:
@@ -454,6 +477,18 @@ class TestDecompressErrors:
         monkeypatch.setattr("ortc.codec.decode_pass", no_decode)
         with pytest.raises(LengthMismatch, match="pass 10"):
             reader(bytes(blob))
+
+    def test_bad_tree_error_names_the_pass(self):
+        data = b"\x00" * 4096
+        blob = bytearray(compress(data))
+        frames = inspect_container(bytes(blob)).frames
+        outer = max((f for f in frames if f.mode == FrameMode.ORT), key=lambda f: f.pass_index)
+        assert outer.tree_len > 1
+        assert outer.pass_index > 1
+        # the passes above it are stored, so its tree is the end of the blob
+        blob[-outer.tree_len] = 0x00  # a zero root leaves the rest of the tree trailing
+        with pytest.raises(MalformedFrame, match=f"pass {outer.pass_index}: bad position tree"):
+            decompress(bytes(blob))
 
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))

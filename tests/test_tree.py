@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ortc.tree import (
     OrtTree,
     RepeatBitmap,
     _levels,
+    _walk,
     bitmap_to_tree,
     kth_child,
     parent,
@@ -315,6 +317,22 @@ class TestWalkDepthBoundaries:
         stems = [i for i, lvl in enumerate(levels) if lvl == tree_depth(num_blocks) - 2]
         for stem in (stems[0], stems[len(stems) // 2], stems[-1]):
             assert_rejected_like_oracle(data[: stem + 1], n)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_walk_memory_stays_within_two_bytes_per_input_byte(stride):
+    # 1 MiB of zeros: every byte past the first stride repeats
+    n = 1 << 20
+    nodes = bitmap_to_tree(RepeatBitmap.from_positions(range(stride, n), n)).nodes
+    tracemalloc.start()
+    try:
+        bits, consumed = _walk(nodes, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consumed == len(nodes)
+    assert np.count_nonzero(bits) == n - stride and not bits[:stride].any()
+    assert peak <= 2 * n
 
 
 class TestParseDifferential:
