@@ -172,10 +172,7 @@ def encode_pass(data: bytes, stride: int, min_run: int) -> PassFrame:
 
 
 def decode_pass(frame: PassFrame) -> bytes:
-    """Rebuild a pass's input from its kept stream and position tree.
-
-    A stored frame's kept stream is returned as it is, not copied.
-    """
+    """Rebuild a pass's input from its kept stream and position tree."""
     if frame.mode == FrameMode.STORED:
         return frame.kept
 
@@ -212,10 +209,8 @@ def decode_pass(frame: PassFrame) -> bytes:
         counts[-1:] = n - counts[-1:]
         return np.repeat(kept, counts).tobytes()
 
-    # lane fill: the input as rows of `stride` lanes, the last row padded
-    # with repeats
     rows = -(-n // stride)
-    keep = np.zeros((rows, stride), dtype=bool)
+    keep = np.zeros((rows, stride), dtype=bool)  # lanes as columns, the last row padded with repeats
     np.logical_not(bits, out=keep.reshape(-1)[:n])
     del bits
     # lane-major repeat bits and a kept sentinel: every lane starts with a

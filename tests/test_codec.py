@@ -479,8 +479,7 @@ class TestDecompressErrors:
             reader(bytes(blob))
 
     def test_bad_tree_error_names_the_pass(self):
-        data = b"\x00" * 4096
-        blob = bytearray(compress(data))
+        blob = bytearray(compress(b"\x00" * 4096))
         frames = inspect_container(bytes(blob)).frames
         outer = max((f for f in frames if f.mode == FrameMode.ORT), key=lambda f: f.pass_index)
         assert outer.tree_len > 1
