@@ -83,6 +83,15 @@ def _roundtrip(codec: str, data: bytes, params: CodecParams) -> tuple[int, bytes
     raise ValueError(f"unknown codec {codec!r}")
 
 
+def check_codecs(codecs: Sequence[str]) -> None:
+    """Raise ValueError, naming the codec, for an unknown codec or one given twice."""
+    for i, codec in enumerate(codecs):
+        if codec not in CODEC_ORDER:
+            raise ValueError(f"unknown codec {codec!r} (choose from {', '.join(CODEC_ORDER)})")
+        if codec in codecs[:i]:
+            raise ValueError(f"codec {codec!r} given twice")
+
+
 def run_bench(
     corpus: Sequence[CorpusItem],
     codecs: Sequence[str] = CODEC_ORDER,
@@ -91,11 +100,7 @@ def run_bench(
     """One verified row per (item, codec), in corpus x codec order."""
     if not corpus:
         raise ValueError("corpus is empty")
-    for i, codec in enumerate(codecs):
-        if codec not in CODEC_ORDER:
-            raise ValueError(f"unknown codec {codec!r}")
-        if codec in codecs[:i]:
-            raise ValueError(f"codec {codec!r} given twice")
+    check_codecs(codecs)
     if params is None:
         params = CodecParams()
 

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .bench import CODEC_ORDER, load_corpus, render_report, run_bench
+from .bench import CODEC_ORDER, check_codecs, load_corpus, render_report, run_bench
 from .codec import CodecParams, FrameMode, compress, decompress, inspect_container
 from .errors import OrtcError, TooManyPasses
 
@@ -105,16 +105,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    codecs = tuple(name.strip() for name in args.codecs.split(",") if name.strip())
     try:
         params = _params(args)
+        check_codecs(codecs)
     except (TooManyPasses, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
-    codecs = tuple(name.strip() for name in args.codecs.split(",") if name.strip())
-    for i, name in enumerate(codecs):
-        if name not in CODEC_ORDER:
-            return _fail(EXIT_USAGE, f"unknown codec {name!r} (choose from {', '.join(CODEC_ORDER)})")
-        if name in codecs[:i]:
-            return _fail(EXIT_USAGE, f"codec {name!r} given twice")
     if not codecs:
         return _fail(EXIT_USAGE, "no codecs selected")
 

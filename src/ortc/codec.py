@@ -185,7 +185,7 @@ def decode_pass(frame: PassFrame) -> bytes:
     try:
         bits, consumed = _walk(frame.tree, n)
         if consumed != len(frame.tree):
-            raise MalformedTree(f"{len(frame.tree) - consumed} bytes after tree")
+            raise MalformedTree(f"{len(frame.tree) - consumed} bytes after the tree's end at byte {consumed}")
     except MalformedTree as exc:
         raise MalformedFrame(f"bad position tree: {exc}") from exc
 

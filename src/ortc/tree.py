@@ -23,14 +23,15 @@ fall in leaf order, and a node comes before the descendants that share its
 leftmost leaf.
 
 Walking loops in Python only down to the stems, the nodes two levels above
-the leaves.  A stem's twigs (nodes one level above the leaves) follow it, each
+the leaves, and records each internal node's byte offset in a list for its
+level.  A stem's twigs (nodes one level above the leaves) follow it, each
 directly followed by its popcount(mask) leaf bytes, so the loop steps over
-them and records only each twig's offset.  After the loop the tree is rebuilt
-top down, one level at a time.  Preorder lists the nodes of any one level in
-slot order, so a level is one boolean scatter of its node bytes where the
-unpacked level above has presence bits: the stems go to their slots, the
-twigs under the stems' bits, and every byte the loop did not record, a leaf,
-under the twigs' bits.
+them and records only each twig's offset.  After the loop one rule rebuilds
+every level, root first.  Preorder lists the nodes of any one level in slot
+order, so a level is one boolean scatter of its node bytes, those at its
+recorded offsets or, on the leaf level, every byte the loop did not record,
+where the unpacked level above has presence bits.  The level above is first
+checked for a presence bit past the slots the level covers.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ __all__ = [
 
 FANOUT = 8
 
-# Child ordinals (0-based, ascending) whose presence bits are set in a mask byte.
-_CHILDREN = tuple(tuple(k for k in range(FANOUT) if byte & (0x80 >> k)) for byte in range(256))
-# Bytes from a twig to the node after it: the twig and its popcount(mask) leaves.
-_SKIP = bytes(1 + len(children) for children in _CHILDREN)
+# 1 + popcount(byte): the bytes from a twig to the node after it, the twig and
+# its leaves, or one more than an internal node's child count.
+_SKIP = bytes(1 + bin(byte).count("1") for byte in range(256))
 
 
 def parent(r: int) -> int:
@@ -205,62 +205,56 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
 
     Returns (the bitmap as a bool array, bytes consumed); trailing bytes are
     left for the caller.  Raises MalformedTree on truncation or a presence bit
-    pointing past the last block, and BitBeyondLength on a leaf bit at or past
-    `length`.
+    pointing past the slots its level covers, and BitBeyondLength on a leaf bit
+    at or past `length`.
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
-    covered = [-(-num_blocks // FANOUT ** (depth - lvl)) for lvl in range(depth + 1)]
-    arr = np.frombuffer(data, dtype=np.uint8)
-    upper, stems, stem_slots, twigs = [], [], [], []
+    offsets = [[] for _ in range(depth)]  # byte offset of every internal node, per level
+    twigs = offsets[-1] if depth else []
     stem = depth - 2  # the level whose children are twigs
-    pos, stack = 0, [(0, 0)] if depth > 1 else []
+    pos, stack = 0, [0] if depth > 1 else []
     try:
-        if depth == 0:  # the root is the lone leaf, under a virtual twig
-            twig_level, pos = np.array([0x80], dtype=np.uint8), 1
-        elif depth == 1:  # the root is the only twig
-            twigs, twig_level, pos = [0], arr[:1], _SKIP[data[0]]
+        if depth == 1:  # the root is the lone twig
+            twigs.append(0)
+            pos = _SKIP[data[0]]
+        elif depth == 0:  # the root is the lone leaf
+            pos = 1
         while stack:
-            level, slot = stack.pop()
-            children = _CHILDREN[data[pos]]
-            if children and FANOUT * slot + children[-1] >= covered[level + 1]:
-                raise MalformedTree(
-                    f"presence bit for child slot {FANOUT * slot + children[-1]} past {covered[level + 1]} blocks"
-                )
+            level = stack.pop()
+            offsets[level].append(pos)
+            count = _SKIP[data[pos]] - 1
             pos += 1
-            if level == stem:
-                stems.append(pos - 1)
-                stem_slots.append(slot)
-                for _ in children:  # a twig, then its popcount(mask) leaf bytes
+            if level == stem:  # a twig, then its popcount(mask) leaf bytes
+                for _ in range(count):
                     twigs.append(pos)
                     pos += _SKIP[data[pos]]
-            else:  # reversed so pops come out in child order
-                upper.append(pos - 1)
-                stack.extend((level + 1, FANOUT * slot + k) for k in reversed(children))
+            else:
+                stack += [level + 1] * count
     except IndexError:
-        raise MalformedTree("node stream truncated") from None
+        pos += 1  # the node byte at pos is missing
     if pos > len(data):
-        raise MalformedTree("node stream truncated")
-    twigs = np.array(twigs, dtype=np.intp)
-    if depth > 1:
-        stem_level = np.zeros(covered[stem], dtype=np.uint8)
-        stem_level[stem_slots] = arr[stems]
-        twig_level = np.zeros(covered[stem + 1], dtype=np.uint8)
-        # the loop has checked every presence bit above the twigs
-        twig_level[np.unpackbits(stem_level).view(bool)[: covered[stem + 1]]] = arr[twigs]
-    present = np.unpackbits(twig_level).view(bool)
-    if bool(present[num_blocks:].any()):
-        last = num_blocks + int(np.flatnonzero(present[num_blocks:])[-1])
-        raise MalformedTree(f"presence bit for child slot {last} past {num_blocks} blocks")
-    is_leaf = np.ones(pos, dtype=bool)  # every byte the loop did not record
-    for offsets in (upper, stems, twigs):
-        is_leaf[offsets] = False
-    leaves = np.zeros(num_blocks, dtype=np.uint8)
-    leaves[present[:num_blocks]] = arr[:pos][is_leaf]
-    del present, is_leaf, upper, stems, stem_slots, twigs  # freed before the bitmap, the largest array
-    bits = np.unpackbits(leaves).view(bool)
+        raise MalformedTree(f"node stream truncated at byte {len(data)}")
+    del twigs  # offsets[-1], so popping it below frees it
+    arr = np.frombuffer(data, dtype=np.uint8, count=pos)
+    is_leaf = np.ones(pos, dtype=bool)
+    bits = np.ones(1, dtype=bool)  # presence bits of the level; the root is always written
+    for level in range(depth + 1):
+        size = -(-num_blocks // FANOUT ** (depth - level))  # slots the level covers
+        # only the last node of the level above can have slots at or past `size`
+        if level and nodes[-1] & 0xFF >> size - 8 * (nodes.size - 1):
+            slot = size + int(np.argmax(bits[size:]))
+            raise MalformedTree(f"node at byte {int(at[-1])}: presence bit for child slot {slot} past {size} slots")
+        if level < depth:
+            at = np.array(offsets.pop(0), dtype=np.intp)
+            is_leaf[at] = False
+        else:
+            at = is_leaf  # every byte the loop did not record
+        nodes = np.zeros(size, dtype=np.uint8)
+        nodes[bits[:size]] = arr[at]
+        bits = np.unpackbits(nodes).view(bool)  # after the leaf level, the bitmap
     if bool(bits[length:].any()):
         raise BitBeyondLength(f"set bit past position {length}")
     return bits[:length], pos
@@ -273,7 +267,7 @@ def tree_to_bitmap(tree: OrtTree, length: int) -> RepeatBitmap:
     if tree.num_blocks != num_blocks:
         raise MalformedTree(f"tree spans {tree.num_blocks} blocks, length {length} needs {num_blocks}")
     if consumed != len(tree.nodes):
-        raise MalformedTree(f"{len(tree.nodes) - consumed} trailing node bytes")
+        raise MalformedTree(f"{len(tree.nodes) - consumed} trailing node bytes after byte {consumed}")
     return RepeatBitmap(bits)
 
 

@@ -77,6 +77,10 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([CorpusItem("a", b"x")], ["gzip"])
 
+    def test_unknown_codec_message_names_it(self):
+        with pytest.raises(ValueError, match="^unknown codec 'gzip' "):
+            run_bench([CorpusItem("a", b"x")], ["ort", "gzip"])
+
     def test_rejects_repeated_codec(self):
         with pytest.raises(ValueError, match="'ort'"):
             run_bench([CorpusItem("a", b"x")], ("ort", "prlc1", "ort"))

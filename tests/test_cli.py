@@ -107,6 +107,19 @@ class TestInspect:
         assert code == 3
 
 
+    @pytest.mark.parametrize("command", ["decompress", "inspect"])
+    def test_bad_tree_error_names_pass_and_tree_offset(self, tmp_path, capsys, command):
+        src = tmp_path / "x"
+        src.write_bytes(b"\x00" * 300)
+        packed = tmp_path / "x.ortc"
+        run(capsys, "compress", str(src), str(packed), "--passes", "1")
+        packed.write_bytes(packed.read_bytes()[:-1])  # the tree is the end of the container
+        args = [str(packed), str(tmp_path / "out")] if command == "decompress" else [str(packed)]
+        code, _, err = run(capsys, command, *args)
+        assert code == 3
+        assert "MalformedFrame: pass 1: bad position tree: node stream truncated at byte 43" in err
+
+
 class TestBench:
     @pytest.fixture
     def corpus_dir(self, tmp_path):
@@ -164,6 +177,12 @@ class TestBench:
     def test_unknown_codec(self, corpus_dir, capsys):
         code, _, err = run(capsys, "bench", str(corpus_dir), "--codecs", "zstd")
         assert code == 2
+
+    def test_codec_list_checked_before_the_corpus(self, tmp_path, capsys):
+        for codecs in ("zstd", "ort,ort"):
+            code, _, err = run(capsys, "bench", str(tmp_path / "nope"), "--codecs", codecs)
+            assert code == 2
+            assert "codec '" in err
 
     def test_repeated_codec(self, corpus_dir, capsys):
         code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", "ort,prlc2,ort", "--format", "csv")

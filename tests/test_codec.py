@@ -489,6 +489,27 @@ class TestDecompressErrors:
         with pytest.raises(MalformedFrame, match=f"pass {outer.pass_index}: bad position tree"):
             decompress(bytes(blob))
 
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_bad_tree_errors_name_the_tree_offset(self, reader):
+        data = b"\x00" * 300  # 38 blocks: a root over 5 twigs
+        frame = encode_pass(data, 1, 3)
+        tree = frame.tree
+        assert len(tree) == 44 and tree[37] == 0xFC  # the last twig holds blocks 32..37
+
+        def container(tree):
+            header = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 1, 3, len(data))
+            return header + PassFrame(FrameMode.ORT, 1, len(data), frame.kept, tree).to_bytes()
+
+        assert decompress(container(tree)) == data
+        for bad, message in [
+            (tree[:-1], "node stream truncated at byte 43"),
+            # the last twig also claims block 38, whose leaf byte follows
+            (tree[:37] + b"\xfe" + tree[38:] + b"\x80", "node at byte 37: presence bit for child slot 38 past 38"),
+            (tree + b"\x00", "1 bytes after the tree's end at byte 44"),
+        ]:
+            with pytest.raises(MalformedFrame, match=f"^pass 1: bad position tree: {message}"):
+                reader(container(bad))
+
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))
         with pytest.raises(LengthMismatch):

@@ -209,6 +209,32 @@ class TestMalformedTrees:
         with pytest.raises(MalformedTree):
             parse_tree(b"", 64)
 
+    @pytest.mark.parametrize(
+        "data, n, end",
+        [
+            ("", 64, 0),  # no root
+            ("c20c", 64, 2),  # the root is the twig; its second leaf is missing
+            ("c20c83", 64, 3),  # its third leaf is missing
+            ("c080", 80, 2),  # the root is a stem; its first twig's leaf is missing
+            ("c0808040", 80, 4),  # the second twig's leaf is missing
+        ],
+    )
+    def test_truncation_names_where_the_stream_ends(self, data, n, end):
+        with pytest.raises(MalformedTree, match=f"^node stream truncated at byte {end}$"):
+            parse_tree(bytes.fromhex(data), n)
+
+    def test_presence_bit_names_the_node_that_holds_it(self):
+        # 10 blocks, bits 0 and 72: the second twig (byte 3) also claims block 10
+        assert bitmap_to_tree(RepeatBitmap.from_positions([0, 72], 80)).nodes == bytes.fromhex("c080804080")
+        with pytest.raises(MalformedTree, match="^node at byte 3: presence bit for child slot 10 past 10 slots$"):
+            parse_tree(bytes.fromhex("c08080608080"), 80)
+        with pytest.raises(MalformedTree, match="^node at byte 0: presence bit for child slot 2 past 2 slots$"):
+            parse_tree(bytes([0b00100000, 0x01]), 16)
+
+    def test_trailing_nodes_name_the_tree_end(self):
+        with pytest.raises(MalformedTree, match="^1 trailing node bytes after byte 1$"):
+            tree_to_bitmap(OrtTree(8, 1, b"\x00\xff"), 64)
+
     def test_parse_child_past_blocks(self):
         # 16 bits -> 2 blocks; a root claiming child 3 points past them
         with pytest.raises(MalformedTree):
@@ -310,6 +336,21 @@ class TestWalkDepthBoundaries:
         bad = bytearray(data)
         bad[last_twig] |= 0x80 >> (num_blocks % 8)  # child slot num_blocks
         assert_rejected_like_oracle(bytes(bad) + b"\x80", n)  # with a leaf byte for it
+
+    @pytest.mark.parametrize("num_blocks", [65, 513])
+    @pytest.mark.parametrize("height", [2, 3])  # the last stem, or the last node one level above it
+    def test_presence_bit_past_covered_slots_above_the_twigs(self, num_blocks, height):
+        data, n, levels = self.fault_tree(num_blocks)
+        level = tree_depth(num_blocks) - height
+        node = max(i for i, lvl in enumerate(levels) if lvl == level)
+        slots = ceil_div(num_blocks, 8 ** (height - 1))  # on the level below the node
+        assert slots % 8 and node_levels(data, n)[-1] == level + height  # the node is the last of its level
+        bad = bytearray(data)
+        bad[node] |= 0x80 >> (slots % 8)  # child slot `slots`
+        bad += b"\x80" * height  # a chain of nodes down to one leaf, for that child
+        assert_rejected_like_oracle(bytes(bad), n)
+        with pytest.raises(MalformedTree, match=f"^node at byte {node}: presence bit for child slot {slots} "):
+            parse_tree(bytes(bad), n)
 
     @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
     def test_stream_ends_right_after_a_stem(self, num_blocks):
