@@ -213,12 +213,11 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
     offsets = [[] for _ in range(depth)]  # byte offset of every internal node, per level
-    twigs = offsets[-1] if depth else []
     stem = depth - 2  # the level whose children are twigs
     pos, stack = 0, [0] if depth > 1 else []
     try:
         if depth == 1:  # the root is the lone twig
-            twigs.append(0)
+            offsets[0].append(0)
             pos = _SKIP[data[0]]
         elif depth == 0:  # the root is the lone leaf
             pos = 1
@@ -229,7 +228,7 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
             pos += 1
             if level == stem:  # a twig, then its popcount(mask) leaf bytes
                 for _ in range(count):
-                    twigs.append(pos)
+                    offsets[-1].append(pos)
                     pos += _SKIP[data[pos]]
             else:
                 stack += [level + 1] * count
@@ -237,7 +236,6 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
         pos += 1  # the node byte at pos is missing
     if pos > len(data):
         raise MalformedTree(f"node stream truncated at byte {len(data)}")
-    del twigs  # offsets[-1], so popping it below frees it
     arr = np.frombuffer(data, dtype=np.uint8, count=pos)
     is_leaf = np.ones(pos, dtype=bool)
     bits = np.ones(1, dtype=bool)  # presence bits of the level; the root is always written
@@ -248,7 +246,7 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
             slot = size + int(np.argmax(bits[size:]))
             raise MalformedTree(f"node at byte {int(at[-1])}: presence bit for child slot {slot} past {size} slots")
         if level < depth:
-            at = np.array(offsets.pop(0), dtype=np.intp)
+            at = np.array(offsets.pop(0), dtype=np.intp)  # popped, so the list is freed
             is_leaf[at] = False
         else:
             at = is_leaf  # every byte the loop did not record
