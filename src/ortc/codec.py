@@ -4,13 +4,11 @@ and the container wire format.
 One pass scans the input at a fixed stride s: byte p is a *repeat* when it
 equals byte p-s and sits in a chain of at least min_run equal bytes spaced s
 apart, that is, when some window of min_run-1 consecutive links p', p'+s, ...
-(link q: byte q equals byte q-s), all holding, contains link p.  Marking ANDs
-the links with themselves shifted by multiples of s, doubling the window each
-time, then spreads each window start with the same shifts under OR.  Repeats
-are dropped from the stream; their positions go into a pruned 8-ary bitmap
-tree (see tree.py) appended after the kept bytes.  A pass that fails to shrink
-its input is emitted verbatim in stored mode, so no pass ever grows its input
-by more than the frame header.
+(link q: byte q equals byte q-s), all holding, contains link p.  Repeats are
+dropped from the stream; their positions go into a pruned 8-ary bitmap tree
+(see tree.py) appended after the kept bytes.  A pass that fails to shrink its
+input is emitted verbatim in stored mode, so no pass ever grows its input by
+more than the frame header.
 
 The full pipeline runs `passes` passes, pass i at stride i, each wrapping the
 previous frame.  Wire layout, all integers unsigned little-endian:
@@ -23,11 +21,15 @@ previous frame.  Wire layout, all integers unsigned little-endian:
 The tree carries no length field; it is self-delimiting given the frame's
 input length.  A stored container holds the raw input, so compressed size
 never exceeds the input by more than the 16-byte container header.
+PassFrame owns the frame rules and the readers build one from every header,
+so a bad field raises MalformedFrame (also a ValueError) from one place.
+Frame-header errors name the byte offset where the fault starts.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -86,17 +88,17 @@ class CodecParams:
     min_run: int = 3
 
     def __post_init__(self) -> None:
-        if self.passes < 0:
+        if operator.index(self.passes) < 0:
             raise ValueError(f"passes must be non-negative, got {self.passes}")
         if self.passes > 255:
             raise TooManyPasses(f"pass count {self.passes} exceeds the u8 header field")
-        if not 1 <= self.min_run <= 255:
+        if not 1 <= operator.index(self.min_run) <= 255:
             raise ValueError(f"min_run must be in 1..255, got {self.min_run}")
 
 
 @dataclass(frozen=True)
 class PassFrame:
-    """One pass's output: kept bytes plus the serialized position tree."""
+    """One pass's output: kept bytes plus the serialized position tree; building one checks every field."""
 
     mode: FrameMode
     stride: int
@@ -105,13 +107,18 @@ class PassFrame:
     tree: bytes
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, FrameMode):  # a mode byte: FrameMode() costs more than all other checks
+            try:
+                object.__setattr__(self, "mode", FrameMode(self.mode))
+            except ValueError:
+                raise MalformedFrame(f"unknown frame mode {self.mode:#04x}") from None
         if not 1 <= self.stride <= 255:
-            raise ValueError(f"stride must be in 1..255, got {self.stride}")
-        if self.mode == FrameMode.STORED:
-            if len(self.kept) != self.input_len or self.tree:
-                raise ValueError("stored frame must carry the input verbatim and no tree")
-        elif len(self.kept) > self.input_len:
-            raise ValueError("kept stream longer than the input")
+            raise MalformedFrame(f"stride must be in 1..255, got {self.stride}")
+        n, kept, tree = self.input_len, len(self.kept), len(self.tree)
+        if self.mode == FrameMode.STORED and (kept != n or tree):
+            raise MalformedFrame(f"stored frame of {n} input bytes holds {kept} kept and {tree} tree bytes")
+        if kept > n:
+            raise MalformedFrame(f"kept length {kept} exceeds input length {n}")
 
     @property
     def kept_len(self) -> int:
@@ -177,17 +184,7 @@ def decode_pass(frame: PassFrame) -> bytes:
         return frame.kept
 
     n = frame.input_len
-    if n > len(frame.kept) + 8 * len(frame.tree):
-        # every repeat needs a leaf bit and every kept byte is present, so a
-        # well-formed frame can never claim more input than this; checked
-        # before any length-proportional allocation
-        raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
-    try:
-        bits, consumed = _walk(frame.tree, n)
-        if consumed != len(frame.tree):
-            raise MalformedTree(f"{len(frame.tree) - consumed} bytes after the tree's end at byte {consumed}")
-    except MalformedTree as exc:
-        raise MalformedFrame(f"bad position tree: {exc}") from exc
+    bits, _ = _read_tree(frame.tree, n, len(frame.kept), whole=True)
 
     stride = frame.stride
     if bool(bits[:stride].any()):
@@ -225,48 +222,42 @@ def decode_pass(frame: PassFrame) -> bytes:
     return out.reshape(-1)[:n].tobytes()
 
 
-def _read_frame_header(view: memoryview, offset: int) -> tuple[FrameMode, int, int, int, int]:
-    """Check the frame header at offset; returns mode, stride, input length,
-    kept length and the offset of the kept stream."""
-    if len(view) - offset < FRAME_OVERHEAD:
-        raise MalformedFrame("truncated frame header")
-    mode_byte, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view, offset)
-    offset += FRAME_OVERHEAD
+def _read_tree(buf, n: int, kept_len: int, whole: bool) -> tuple[np.ndarray, int]:
+    """Walk the position tree at the start of buf, all of buf when whole; returns the bitmap and its length."""
+    if n > kept_len + 8 * len(buf):  # each repeat needs a leaf bit: checked before the bitmap is allocated
+        raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
     try:
-        mode = FrameMode(mode_byte)
-    except ValueError:
-        raise MalformedFrame(f"unknown frame mode {mode_byte:#04x}") from None
-    if stride < 1:
-        raise MalformedFrame("frame stride must be >= 1")
-    if mode == FrameMode.STORED and kept_len != input_len:
-        raise MalformedFrame("stored frame with kept length != input length")
-    if mode == FrameMode.ORT and kept_len > input_len:
-        raise MalformedFrame("kept length exceeds input length")
+        bits, consumed = _walk(buf, n)
+        if whole and consumed != len(buf):
+            raise MalformedTree(f"{len(buf) - consumed} bytes after the tree's end at byte {consumed}")
+    except MalformedTree as exc:
+        raise MalformedFrame(f"bad position tree: {exc}") from exc
+    return bits, consumed
+
+
+def _read_frame_header(view: memoryview, offset: int) -> tuple[int, int, int, memoryview, int]:
+    """Unpack the frame header at offset: mode byte, stride, input length, kept stream view, end offset."""
+    if len(view) - offset < FRAME_OVERHEAD:
+        raise MalformedFrame(f"truncated frame header at byte {offset}")
+    mode, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view, offset)
+    offset += FRAME_OVERHEAD
     if len(view) - offset < kept_len:
-        raise MalformedFrame("truncated kept stream")
-    return mode, stride, input_len, kept_len, offset
+        raise MalformedFrame(f"truncated kept stream at byte {offset}: {kept_len} bytes declared")
+    return mode, stride, input_len, view[offset : offset + kept_len], offset + kept_len
 
 
 def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
     """Parse one frame starting at offset; returns the frame and the end offset."""
+    if offset < 0:
+        raise ValueError(f"offset must be non-negative, got {offset}")
     view = memoryview(data)
-    mode, stride, input_len, kept_len, offset = _read_frame_header(view, offset)
-    kept = bytes(view[offset : offset + kept_len])
-    offset += kept_len
-
-    tree_bytes = b""
-    if mode == FrameMode.ORT:
-        if input_len > kept_len + 8 * (len(view) - offset):
-            # decode_pass's bound over every byte left; checked before the
-            # walk allocates the bitmap
-            raise MalformedFrame(f"input length {input_len} unreachable from the bytes that follow")
-        try:
-            _, consumed = _walk(view[offset:], input_len)
-        except MalformedTree as exc:
-            raise MalformedFrame(f"bad position tree: {exc}") from exc
-        tree_bytes = bytes(view[offset : offset + consumed])
-        offset += consumed
-    return PassFrame(mode, stride, input_len, kept, tree_bytes), offset
+    mode, stride, input_len, kept, end = _read_frame_header(view, offset)
+    tree_len = _read_tree(view[end:], input_len, len(kept), whole=False)[1] if mode == FrameMode.ORT else 0
+    try:
+        frame = PassFrame(mode, stride, input_len, bytes(kept), bytes(view[end : end + tree_len]))
+    except MalformedFrame as exc:
+        raise MalformedFrame(f"frame at byte {offset}: {exc}") from exc
+    return frame, end + tree_len
 
 
 def compress(data: bytes, params: CodecParams | None = None) -> bytes:
@@ -330,11 +321,10 @@ def _decode_container(
 ) -> tuple[tuple[int, int, int, int, int], bytes]:
     """Check the container header and undo its passes, outermost first.
 
-    Returns the header fields and the decoded data.  Appends one FrameInfo
-    per pass to frames when a list is given.  Inside a container every frame
-    fills its buffer, so the tree is the rest of it, and decode_pass's single
-    walk also rejects trailing bytes.  Frames are taken apart as views of the
-    blob, so a stored pass costs no copy; the one copy is at the end.
+    Returns the header fields and the decoded data, and appends one FrameInfo
+    per pass to frames when a list is given.  Every frame fills its buffer, so
+    the tree is the rest of it.  Frames are views of the blob, so a stored pass
+    costs no copy; the one copy is at the end.
     """
     header = _parse_container_header(blob)
     _, flags, pass_count, _, orig_len = header
@@ -346,20 +336,18 @@ def _decode_container(
     for k in range(pass_count, 0, -1):
         buf = memoryview(buf)
         try:
-            mode, stride, input_len, kept_len, offset = _read_frame_header(buf, 0)
+            mode, stride, input_len, kept, offset = _read_frame_header(buf, 0)
             # each pass grows its input by at most one frame header
             limit = orig_len + FRAME_OVERHEAD * (k - 1)
             if input_len > limit:
                 raise LengthMismatch(
                     f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
                 )
-            tree = buf[offset + kept_len :]
-            if mode == FrameMode.STORED and tree:
-                raise MalformedFrame(f"{len(tree)} trailing bytes after frame")
-            if frames is not None:
-                frames.append(FrameInfo(k, mode, stride, input_len, kept_len, len(tree)))
             # the tree is copied, as the walk indexes bytes faster than a view
-            buf = decode_pass(PassFrame(mode, stride, input_len, buf[offset : offset + kept_len], bytes(tree)))
+            frame = PassFrame(mode, stride, input_len, kept, bytes(buf[offset:]))
+            if frames is not None:
+                frames.append(FrameInfo(k, frame.mode, stride, input_len, len(kept), len(frame.tree)))
+            buf = decode_pass(frame)
         except MalformedFrame as exc:
             raise MalformedFrame(f"pass {k}: {exc}") from exc
     if len(buf) != orig_len:

@@ -42,7 +42,7 @@ class BitBeyondLength(MalformedTree):
     """A leaf bit maps to a position at or past the declared input length."""
 
 
-class MalformedFrame(OrtcError):
+class MalformedFrame(OrtcError, ValueError):
     """Pass frame bytes are truncated, inconsistent, or undecodable."""
 
 

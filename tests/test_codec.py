@@ -2,6 +2,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,7 +124,40 @@ class TestMarkEqualities:
             mark_equalities(b"xx", 1, 0)
 
 
+class TestPassFrame:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((FrameMode.ORT, 0, 1, b"a", b""), "stride must be in 1..255, got 0"),
+            ((FrameMode.ORT, 256, 1, b"a", b""), "stride must be in 1..255, got 256"),
+            ((FrameMode.STORED, 1, 1, b"a", b"\x80"), "stored frame of 1 input bytes holds 1 kept and 1 tree"),
+            ((FrameMode.STORED, 1, 2, b"a", b""), "stored frame of 2 input bytes holds 1 kept and 0 tree"),
+            ((FrameMode.ORT, 1, 1, b"ab", b""), "kept length 2 exceeds input length 1"),
+            ((5, 1, 1, b"a", b""), "unknown frame mode 0x05"),
+        ],
+        ids=["stride-0", "stride-256", "stored-with-tree", "stored-short", "kept-over-input", "mode-5"],
+    )
+    def test_every_field_is_checked(self, fields, message):
+        with pytest.raises(MalformedFrame, match=f"^{message}") as excinfo:
+            PassFrame(*fields)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_mode_becomes_a_frame_mode(self):
+        frame = PassFrame(1, 1, 16, b"\xaa", bytes.fromhex("c07fff"))
+        assert frame.mode is FrameMode.ORT
+        assert parse_frame(frame.to_bytes()) == (frame, FRAME_OVERHEAD + 4)
+        assert PassFrame(0, 1, 1, b"a", b"").mode is FrameMode.STORED
+
+
 class TestEncodePass:
+    def test_rejects_bad_args(self):
+        for stride in (0, 256):
+            with pytest.raises(ValueError, match=f"stride must be in 1..255, got {stride}"):
+                encode_pass(b"xx", stride, 3)
+        for min_run in (0, 256):
+            with pytest.raises(ValueError, match=f"min_run must be in 1..255, got {min_run}"):
+                encode_pass(b"xx", 1, min_run)
+
     def test_constant_run(self):
         frame = encode_pass(b"\xaa" * 16, 1, 3)
         assert frame.mode == FrameMode.ORT
@@ -351,6 +385,27 @@ class TestParseFrame:
         assert end == 2 + len(good)
         assert decode_pass(frame) == b"\xaa" * 16
 
+    def test_rejects_negative_offset(self):
+        good = encode_pass(b"\xaa" * 16, 1, 3).to_bytes()
+        for offset in (-len(good), -1):
+            with pytest.raises(ValueError, match=f"^offset must be non-negative, got {offset}$") as excinfo:
+                parse_frame(good + good, offset=offset)
+            assert not isinstance(excinfo.value, OrtcError)
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (struct.pack("<BBQQ", 1, 1, 16, 1)[:-1], "truncated frame header at byte 2"),
+            (struct.pack("<BBQQ", 1, 1, 16, 5) + b"ab", "truncated kept stream at byte 20: 5 bytes declared"),
+            (struct.pack("<BBQQ", 5, 1, 1, 1) + b"a", "frame at byte 2: unknown frame mode 0x05"),
+            (struct.pack("<BBQQ", 0, 0, 1, 1) + b"a", "frame at byte 2: stride must be in 1..255, got 0"),
+        ],
+        ids=["header", "kept-stream", "mode", "stride"],
+    )
+    def test_header_errors_name_the_byte_offset(self, frame, message):
+        with pytest.raises(MalformedFrame, match=f"^{message}$"):
+            parse_frame(b"??" + frame, offset=2)
+
 
 class TestCompressDecompress:
     @pytest.mark.parametrize("data", ADVERSARIAL)
@@ -396,6 +451,16 @@ class TestCompressDecompress:
             CodecParams(min_run=0)
         with pytest.raises(ValueError):
             CodecParams(min_run=256)
+
+    @pytest.mark.parametrize("field", ["passes", "min_run"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_params_must_be_integers(self, field, value):
+        with pytest.raises(TypeError):
+            CodecParams(**{field: value})
+
+    def test_integer_like_params_are_accepted(self):
+        params = CodecParams(passes=np.uint8(2), min_run=np.int64(4))
+        assert compress(b"\x00" * 64, params) == compress(b"\x00" * 64, CodecParams(2, 4))
 
     def test_multi_pass_improves_constant_buffer(self):
         data = b"\x00" * 65536
@@ -509,6 +574,29 @@ class TestDecompressErrors:
         ]:
             with pytest.raises(MalformedFrame, match=f"^pass 1: bad position tree: {message}"):
                 reader(container(bad))
+
+    # faults in the outer frame of a two-pass container; the inner frame is good
+    @pytest.mark.parametrize(
+        "mode, stride, input_delta, tail, message",
+        [
+            (FrameMode.ORT, 0, 0, b"", "stride must be in 1..255, got 0"),
+            (FrameMode.STORED, 2, 1, b"", "stored frame of 64 input bytes holds 63 kept and 0 tree bytes"),
+            (FrameMode.STORED, 2, 0, b"!", "stored frame of 63 input bytes holds 63 kept and 1 tree bytes"),
+            (FrameMode.ORT, 2, -1, b"", "kept length 63 exceeds input length 62"),
+            (5, 2, 0, b"", "unknown frame mode 0x05"),
+        ],
+        ids=["stride-0", "stored-short", "stored-trailing", "kept-over-input", "mode-5"],
+    )
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_frame_field_errors_name_the_pass(self, reader, mode, stride, input_delta, tail, message):
+        data = b"\x00" * 300
+        inner = encode_pass(data, 1, 3).to_bytes()
+        assert len(inner) == 63
+        outer = struct.pack("<BBQQ", mode, stride, len(inner) + input_delta, len(inner)) + inner + tail
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 2, 3, len(data)) + outer
+        with pytest.raises(MalformedFrame, match=f"^pass 2: {message}$") as excinfo:
+            reader(blob)
+        assert isinstance(excinfo.value, ValueError)
 
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))
