@@ -22,8 +22,8 @@ The tree carries no length field; it is self-delimiting given the frame's
 input length.  A stored container holds the raw input, so compressed size
 never exceeds the input by more than the 16-byte container header.
 PassFrame owns the frame rules and the readers build one from every header,
-so a bad field raises MalformedFrame (also a ValueError) from one place.
-Frame-header errors name the byte offset where the fault starts.
+so a bad field raises MalformedFrame (also a ValueError) from one place;
+parse_frame names the frame's byte offset, as truncation errors name theirs.
 """
 
 from __future__ import annotations
