@@ -29,9 +29,9 @@ parse_frame names the frame's byte offset, as truncation errors name theirs.
 from __future__ import annotations
 
 import enum
-import operator
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class FrameMode(enum.IntEnum):
     ORT = 1
 
 
+_MODES = {int(mode): mode for mode in FrameMode}
+
+
 @dataclass(frozen=True)
 class CodecParams:
     """Pipeline settings: number of recursive passes and minimum chain length."""
@@ -88,11 +91,14 @@ class CodecParams:
     min_run: int = 3
 
     def __post_init__(self) -> None:
-        if operator.index(self.passes) < 0:
+        for name in ("passes", "min_run"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.passes < 0:
             raise ValueError(f"passes must be non-negative, got {self.passes}")
         if self.passes > 255:
             raise TooManyPasses(f"pass count {self.passes} exceeds the u8 header field")
-        if not 1 <= operator.index(self.min_run) <= 255:
+        if not 1 <= self.min_run <= 255:
             raise ValueError(f"min_run must be in 1..255, got {self.min_run}")
 
 
@@ -107,15 +113,15 @@ class PassFrame:
     tree: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, FrameMode):  # a mode byte: FrameMode() costs more than all other checks
-            try:
-                object.__setattr__(self, "mode", FrameMode(self.mode))
-            except ValueError:
-                raise MalformedFrame(f"unknown frame mode {self.mode:#04x}") from None
+        mode = _MODES.get(self.mode)  # a lookup, as FrameMode(byte) costs more than all other checks
+        if mode is None:
+            raise MalformedFrame(f"unknown frame mode {self.mode:#04x}")
+        if mode is not self.mode:
+            object.__setattr__(self, "mode", mode)
         if not 1 <= self.stride <= 255:
             raise MalformedFrame(f"stride must be in 1..255, got {self.stride}")
         n, kept, tree = self.input_len, len(self.kept), len(self.tree)
-        if self.mode == FrameMode.STORED and (kept != n or tree):
+        if mode is FrameMode.STORED and (kept != n or tree):
             raise MalformedFrame(f"stored frame of {n} input bytes holds {kept} kept and {tree} tree bytes")
         if kept > n:
             raise MalformedFrame(f"kept length {kept} exceeds input length {n}")
@@ -172,10 +178,12 @@ def encode_pass(data: bytes, stride: int, min_run: int) -> PassFrame:
     bits = _mark_bits(arr, stride, min_run)
     levels, tree_size = _levels(bits)
     # kept + tree < input exactly when the tree is smaller than the repeats it
-    # drops; only then is the preorder built
-    if tree_size < np.count_nonzero(bits):
-        return PassFrame(FrameMode.ORT, stride, len(data), arr[~bits].tobytes(), _preorder(levels))
-    return PassFrame(FrameMode.STORED, stride, len(data), data, b"")
+    # drops; only then is the preorder built, before bits becomes the kept mask
+    if tree_size >= np.count_nonzero(bits):
+        return PassFrame(FrameMode.STORED, stride, len(data), data, b"")
+    tree = _preorder(levels)
+    del levels
+    return PassFrame(FrameMode.ORT, stride, len(data), arr[np.logical_not(bits, out=bits)].tobytes(), tree)
 
 
 def decode_pass(frame: PassFrame) -> bytes:
@@ -252,12 +260,12 @@ def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
         raise ValueError(f"offset must be non-negative, got {offset}")
     view = memoryview(data)
     mode, stride, input_len, kept, end = _read_frame_header(view, offset)
-    tree_len = _read_tree(view[end:], input_len, len(kept), whole=False)[1] if mode == FrameMode.ORT else 0
-    try:
-        frame = PassFrame(mode, stride, input_len, bytes(kept), bytes(view[end : end + tree_len]))
+    try:  # the fields are checked before the tree is walked
+        frame = PassFrame(mode, stride, input_len, bytes(kept), b"")
     except MalformedFrame as exc:
         raise MalformedFrame(f"frame at byte {offset}: {exc}") from exc
-    return frame, end + tree_len
+    tree_len = _read_tree(view[end:], input_len, len(kept), whole=False)[1] if frame.mode == FrameMode.ORT else 0
+    return replace(frame, tree=bytes(view[end : end + tree_len])), end + tree_len
 
 
 def compress(data: bytes, params: CodecParams | None = None) -> bytes:

@@ -17,10 +17,12 @@ ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
 
 Building goes level by level.  The leaf bytes are packbits of the bitmap and
 each level above is packbits of (level below != 0), so the pruned size is
-known before any node is ordered.  The present nodes are then put in
-preorder by one lexsort on (leftmost leaf covered, level): disjoint subtrees
-fall in leaf order, and a node comes before the descendants that share its
-leftmost leaf.
+known before any node is ordered.  In the full tree the levels describe,
+only a level's last node can head an incomplete subtree, and it has no
+younger sibling, so child k of the node at full-tree preorder index a on
+level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
+writes every slot there, and after the root, always written, one boolean
+gather of the nonzero bytes yields the present nodes in preorder, unsorted.
 
 Walking loops in Python only down to the stems, the nodes two levels above
 the leaves, and records each internal node's byte offset in a list for its
@@ -184,13 +186,13 @@ def _levels(bits: np.ndarray) -> tuple[list[np.ndarray], int]:
 def _preorder(levels: list[np.ndarray]) -> bytes:
     """The present nodes of _levels' tree in depth-first preorder."""
     depth = len(levels) - 1
-    slots = [np.zeros(1, dtype=np.intp)] + [np.flatnonzero(level) for level in levels[1:]]
-    level_of = np.repeat(np.arange(depth + 1, dtype=np.uint8), [s.size for s in slots])
-    # a node's leftmost leaf orders disjoint subtrees; its level puts it
-    # before the descendants that share that leaf
-    first_leaf = np.concatenate([s << 3 * (depth - lvl) for lvl, s in enumerate(slots)])
-    order = np.lexsort((level_of, first_leaf))
-    return np.concatenate([level[s] for level, s in zip(levels, slots)])[order].tobytes()
+    full = np.empty(sum(level.size for level in levels), dtype=np.uint8)  # every slot in preorder, the root's unset
+    at = np.zeros(1, dtype=np.intp)  # the full-tree preorder index of each slot of the level
+    for level, nodes in enumerate(levels[1:]):
+        span = (8 ** (depth - level) - 1) // 7  # nodes in a child's complete subtree
+        at = (at[:, None] + np.arange(1, 1 + 8 * span, span)).reshape(-1)[: nodes.size]
+        full[at] = nodes
+    return levels[0].tobytes() + full[1:][full[1:] != 0].tobytes()  # the root, written even when zero
 
 
 def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:

@@ -206,6 +206,23 @@ class TestEncodePass:
             frame = encode_pass(data, stride, 3)
             assert len(frame.to_bytes()) <= len(data) + FRAME_OVERHEAD
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("run", [1 << 20, 16, 3], ids=["zeros", "runs16", "runs3"])
+    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride, run):
+        # 1 MiB of zeros, or of random bytes each repeated `run` times
+        n = 1 << 20
+        heads = np.random.default_rng(run).integers(0, 256, -(-n // run), dtype=np.uint8)
+        data = bytes(n) if run == n else np.repeat(heads, run)[:n].tobytes()
+        tracemalloc.start()
+        try:
+            frame = encode_pass(data, stride, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.mode == FrameMode.ORT and decode_pass(frame) == data
+        # the repeat bits and the kept bytes, but no sort keys or order per tree node
+        assert peak <= 3.5 * n
+
     def test_short_runs_stay_verbatim(self):
         data = b"\xf7\xf7" + bytes(range(10)) + b"\xf9\xf9\xf9\xf9"
         frame = encode_pass(data, 1, 3)
@@ -406,6 +423,25 @@ class TestParseFrame:
         with pytest.raises(MalformedFrame, match=f"^{message}$"):
             parse_frame(b"??" + frame, offset=2)
 
+    @pytest.mark.parametrize(
+        "stride, input_len, kept, message",
+        [
+            (0, 16, b"\xaa", "stride must be in 1..255, got 0"),
+            (1, 2, b"abc", "kept length 3 exceeds input length 2"),
+        ],
+        ids=["stride-0", "kept-over-input"],
+    )
+    def test_fields_are_checked_before_the_tree_is_walked(self, monkeypatch, stride, input_len, kept, message):
+        import ortc.codec
+
+        def fail(data, length):
+            raise AssertionError("tree walked before the frame's fields were checked")
+
+        monkeypatch.setattr(ortc.codec, "_walk", fail)
+        frame = struct.pack("<BBQQ", 1, stride, input_len, len(kept)) + kept + bytes.fromhex("c07fff")
+        with pytest.raises(MalformedFrame, match=f"^frame at byte 0: {message}$"):
+            parse_frame(frame)
+
 
 class TestCompressDecompress:
     @pytest.mark.parametrize("data", ADVERSARIAL)
@@ -457,6 +493,11 @@ class TestCompressDecompress:
     def test_params_must_be_integers(self, field, value):
         with pytest.raises(TypeError):
             CodecParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["passes", "min_run"])
+    def test_type_error_names_the_field_and_value(self, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got 2.5$"):
+            CodecParams(**{field: 2.5})
 
     def test_integer_like_params_are_accepted(self):
         params = CodecParams(passes=np.uint8(2), min_run=np.int64(4))

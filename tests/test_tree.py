@@ -160,6 +160,15 @@ class TestBitmapToTree:
         assert _levels(bm.bits)[1] == tree.node_count  # the size known before the preorder
         assert tree_to_bitmap(tree, n) == bm
 
+    def test_matches_recursive_oracle_for_every_block_count_to_600(self):
+        # every right-edge shape up to depth 3, and the first ones at depth 4
+        rng = random.Random(600)
+        for num_blocks in range(1, 601):
+            n = 8 * num_blocks - num_blocks % 8  # the last block full or partial
+            for positions in (set(range(n)), {p for p in range(n) if rng.random() < 0.3}, {n - 1}):
+                tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
+                assert tree.nodes == naive_tree_bytes(positions, n), (num_blocks, len(positions))
+
 
 class TestRoundTrips:
     @settings(max_examples=200, deadline=None)
