@@ -7,7 +7,7 @@ marker on the row instead of a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,11 +68,8 @@ def load_corpus(directory: str | Path) -> list[CorpusItem]:
 
 def _roundtrip(codec: str, data: bytes, params: CodecParams) -> tuple[int, bytes]:
     """Encode + decode with one codec; returns (encoded size, decoded bytes)."""
-    if codec == "ort":
-        blob = compress(data, params)
-        return len(blob), decompress(blob)
-    if codec == "stored":
-        blob = compress(data, CodecParams(passes=0, min_run=params.min_run))
+    if codec in ("ort", "stored"):  # stored is the container with no passes
+        blob = compress(data, params if codec == "ort" else replace(params, passes=0))
         return len(blob), decompress(blob)
     if codec == "prlc1":
         flag, body = prlc1_encode(data)

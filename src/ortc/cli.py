@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bench import CODEC_ORDER, check_codecs, load_corpus, render_report, run_bench
 from .codec import CodecParams, FrameMode, compress, decompress, inspect_container
-from .errors import OrtcError, TooManyPasses
+from .errors import OrtcError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -24,72 +24,64 @@ EXIT_USAGE = 2
 EXIT_BAD_CONTAINER = 3
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """A failed command: its exit code and the message for stderr."""
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+def _read_input(args: argparse.Namespace, decode=bytes):
+    """decode(the input file's bytes); an unreadable file exits 1 and an OrtcError exits 3."""
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        blob = Path(args.input).read_bytes()
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot read {args.input}: {exc}") from exc
+    try:
+        return decode(blob)
+    except OrtcError as exc:
+        raise _Failure(EXIT_BAD_CONTAINER, f"{args.input}: {type(exc).__name__}: {exc}") from exc
+
+
+def _write_atomic(name: str, data: bytes) -> None:
+    path = Path(name)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot write {name}: {exc}") from exc
 
 
 def _params(args: argparse.Namespace) -> CodecParams:
-    return CodecParams(passes=args.passes, min_run=args.min_run)
+    try:
+        return CodecParams(passes=args.passes, min_run=args.min_run)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    try:
-        params = _params(args)
-    except (TooManyPasses, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        data = Path(args.input).read_bytes()
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.input}: {exc}")
+    params = _params(args)
+    data = _read_input(args)
     blob = compress(data, params)
-    try:
-        _write_atomic(Path(args.output), blob)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.output}: {exc}")
+    _write_atomic(args.output, blob)
     ratio = 1.0 if not data else len(data) / len(blob)
     print(f"{args.input}: {len(data)} -> {len(blob)} bytes, ratio {ratio:.3f}")
     return EXIT_OK
 
 
 def cmd_decompress(args: argparse.Namespace) -> int:
-    try:
-        blob = Path(args.input).read_bytes()
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.input}: {exc}")
-    try:
-        data = decompress(blob)
-    except OrtcError as exc:
-        return _fail(EXIT_BAD_CONTAINER, f"{args.input}: {type(exc).__name__}: {exc}")
-    try:
-        _write_atomic(Path(args.output), data)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.output}: {exc}")
+    data = _read_input(args, decompress)
+    _write_atomic(args.output, data)
     print(f"{args.output}: {len(data)} bytes")
     return EXIT_OK
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        blob = Path(args.input).read_bytes()
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.input}: {exc}")
-    try:
-        info = inspect_container(blob)
-    except OrtcError as exc:
-        return _fail(EXIT_BAD_CONTAINER, f"{args.input}: {type(exc).__name__}: {exc}")
+    info = _read_input(args, inspect_container)
     print(f"version: {info.version}")
     print(f"mode: {'stored' if info.stored else 'ort'}")
     print(f"passes: {info.pass_count}")
@@ -106,23 +98,23 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     codecs = tuple(name.strip() for name in args.codecs.split(",") if name.strip())
+    params = _params(args)
     try:
-        params = _params(args)
         check_codecs(codecs)
-    except (TooManyPasses, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
     if not codecs:
-        return _fail(EXIT_USAGE, "no codecs selected")
+        raise _Failure(EXIT_USAGE, "no codecs selected")
 
     root = Path(args.directory)
     if not root.is_dir():
-        return _fail(EXIT_IO, f"{args.directory} is not a directory")
+        raise _Failure(EXIT_IO, f"{args.directory} is not a directory")
     try:
         corpus = load_corpus(root)
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read corpus: {exc}")
+        raise _Failure(EXIT_IO, f"cannot read corpus: {exc}") from exc
     if not corpus:
-        return _fail(EXIT_IO, f"no files in {args.directory}")
+        raise _Failure(EXIT_IO, f"no files in {args.directory}")
 
     rows = run_bench(corpus, codecs, params)
     sys.stdout.write(render_report(rows, args.format))
@@ -136,9 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = CodecParams()
+
     def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--passes", type=int, default=10, help="recursive passes (default 10)")
-        p.add_argument("--min-run", type=int, default=3, help="minimum chain length to dedup (default 3)")
+        p.add_argument("--passes", type=int, default=defaults.passes, help="recursive passes (default %(default)s)")
+        p.add_argument(
+            "--min-run", type=int, default=defaults.min_run, help="minimum chain length to dedup (default %(default)s)"
+        )
 
     p = sub.add_parser("compress", help="compress a file")
     p.add_argument("input")
@@ -166,7 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

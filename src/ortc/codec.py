@@ -132,7 +132,7 @@ class PassFrame:
 
     def to_bytes(self) -> bytes:
         header = _FRAME_HDR.pack(int(self.mode), self.stride, self.input_len, len(self.kept))
-        return header + self.kept + self.tree
+        return b"".join((header, self.kept, self.tree))  # one copy of the kept bytes, where + makes two
 
 
 def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
@@ -196,7 +196,8 @@ def decode_pass(frame: PassFrame) -> bytes:
 
     stride = frame.stride
     if bool(bits[:stride].any()):
-        raise MalformedFrame("repeat flagged before one full stride")
+        first = int(np.argmax(bits[:stride]))
+        raise MalformedFrame(f"repeat flagged at byte {first}, before one full stride of {stride}")
     kept = np.frombuffer(frame.kept, dtype=np.uint8)
     repeats = np.count_nonzero(bits)
     if n - repeats != kept.size:
@@ -280,11 +281,9 @@ def compress(data: bytes, params: CodecParams | None = None) -> bytes:
     current = data
     for i in range(1, params.passes + 1):
         current = encode_pass(current, i, params.min_run).to_bytes()
-    if len(current) < len(data):
-        header = _CONTAINER_HDR.pack(MAGIC, VERSION, 0, params.passes, params.min_run, len(data))
-        return header + current
-    header = _CONTAINER_HDR.pack(MAGIC, VERSION, _FLAG_STORED, 0, params.min_run, len(data))
-    return header + data
+    stored = len(current) >= len(data)  # a stored container holds the input and counts no passes
+    flags, passes, payload = (_FLAG_STORED, 0, data) if stored else (0, params.passes, current)
+    return _CONTAINER_HDR.pack(MAGIC, VERSION, flags, passes, params.min_run, len(data)) + payload
 
 
 def _parse_container_header(blob: bytes) -> tuple[int, int, int, int, int]:

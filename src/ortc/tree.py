@@ -254,6 +254,8 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
             at = is_leaf  # every byte the loop did not record
         nodes = np.zeros(size, dtype=np.uint8)
         nodes[bits[:size]] = arr[at]
+        if level == depth:
+            del at, is_leaf, bits  # the leaf mask and presence bits, freed before the bitmap is unpacked
         bits = np.unpackbits(nodes).view(bool)  # after the leaf level, the bitmap
     if bool(bits[length:].any()):
         raise BitBeyondLength(f"set bit past position {length}")

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ortc.cli import main
+from ortc.cli import build_parser, main
+from ortc.codec import CodecParams
 
 
 def run(capsys, *argv):
@@ -49,6 +50,15 @@ class TestCompressDecompress:
         code, _, err = run(capsys, "compress", str(tmp_path / "nope"), str(tmp_path / "out"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["decompress", "inspect"])
+    def test_missing_container_is_io_error(self, tmp_path, capsys, command):
+        args = [str(tmp_path / "nope"), str(tmp_path / "out")] if command == "decompress" else [str(tmp_path / "nope")]
+        code, out, err = run(capsys, command, *args)
+        assert code == 1
+        assert out == ""
+        assert f"error: cannot read {tmp_path / 'nope'}: " in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_passes_value(self, tmp_path, capsys):
         src = tmp_path / "x"
@@ -197,6 +207,13 @@ class TestBench:
         run(capsys, "compress", str(src), str(packed1))
         run(capsys, "compress", str(src), str(packed2))
         assert packed1.read_bytes() == packed2.read_bytes()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["compress", "in", "out"], ["bench", "corpus"]])
+    def test_codec_defaults_come_from_codec_params(self, argv):
+        args = build_parser().parse_args(argv)
+        assert (args.passes, args.min_run) == (CodecParams().passes, CodecParams().min_run)
 
 
 class TestEntryPoints:

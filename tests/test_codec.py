@@ -279,6 +279,13 @@ class TestDecodePass:
         with pytest.raises(MalformedFrame):
             decode_pass(frame)
 
+    @pytest.mark.parametrize("tree, first", [(0b01000000, 1), (0b11000000, 0)])
+    def test_repeat_before_stride_names_the_byte(self, tree, first):
+        # stride 2: a leaf flags byte 1, or bytes 0 and 1, inside the first stride
+        frame = PassFrame(FrameMode.ORT, 2, 8, bytes(8 - bin(tree).count("1")), bytes([tree]))
+        with pytest.raises(MalformedFrame, match=f"^repeat flagged at byte {first}, before one full stride of 2$"):
+            decode_pass(frame)
+
     def test_kept_stream_length_mismatch(self):
         tree = bytes([0b01000000])  # one repeat at position 1
         with pytest.raises(MalformedFrame):
@@ -638,6 +645,14 @@ class TestDecompressErrors:
         with pytest.raises(MalformedFrame, match=f"^pass 2: {message}$") as excinfo:
             reader(blob)
         assert isinstance(excinfo.value, ValueError)
+
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_repeat_before_stride_names_the_pass_and_byte(self, reader):
+        # the outer frame of a two-pass container, at stride 2, flags byte 1
+        outer = PassFrame(FrameMode.ORT, 2, 8, bytes(7), bytes([0b01000000])).to_bytes()
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 2, 3, 8) + outer
+        with pytest.raises(MalformedFrame, match="^pass 2: repeat flagged at byte 1, before one full stride of 2$"):
+            reader(blob)
 
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))

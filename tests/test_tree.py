@@ -382,7 +382,7 @@ def test_walk_memory_stays_within_two_bytes_per_input_byte(stride):
         tracemalloc.stop()
     assert consumed == len(nodes)
     assert np.count_nonzero(bits) == n - stride and not bits[:stride].any()
-    assert peak <= 2 * n
+    assert peak <= 1.35 * n
 
 
 class TestParseDifferential:
