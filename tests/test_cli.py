@@ -210,7 +210,7 @@ class TestBench:
 
 
 class TestParser:
-    @pytest.mark.parametrize("argv", [["compress", "in", "out"], ["bench", "corpus"]])
+    @pytest.mark.parametrize("argv", [["compress", "in", "out"], ["bench", "corpus"]], ids=["compress", "bench"])
     def test_codec_defaults_come_from_codec_params(self, argv):
         args = build_parser().parse_args(argv)
         assert (args.passes, args.min_run) == (CodecParams().passes, CodecParams().min_run)
