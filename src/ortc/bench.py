@@ -74,10 +74,8 @@ def _roundtrip(codec: str, data: bytes, params: CodecParams) -> tuple[int, bytes
     if codec == "prlc1":
         flag, body = prlc1_encode(data)
         return 1 + len(body), prlc1_decode(flag, body)  # 1-byte flag header counts
-    if codec == "prlc2":
-        body = prlc2_encode(data)
-        return len(body), prlc2_decode(body)
-    raise ValueError(f"unknown codec {codec!r}")
+    body = prlc2_encode(data)  # prlc2, the one codec left once check_codecs has passed
+    return len(body), prlc2_decode(body)
 
 
 def check_codecs(codecs: Sequence[str]) -> None:
@@ -104,16 +102,15 @@ def run_bench(
     rows: list[BenchRow] = []
     for index, item in enumerate(corpus, start=1):
         for codec in codecs:
+            size = error = None
             try:
                 size, decoded = _roundtrip(codec, item.data, params)
+                if decoded != item.data:
+                    error = "RoundTripMismatch"  # the size stays, with no ratio
             except OrtcError as exc:
-                rows.append(BenchRow(index, item.name, codec, len(item.data), None, None, type(exc).__name__))
-                continue
-            if decoded != item.data:
-                rows.append(BenchRow(index, item.name, codec, len(item.data), size, None, "RoundTripMismatch"))
-                continue
-            ratio = 1.0 if not item.data else compression_ratio(len(item.data), size)
-            rows.append(BenchRow(index, item.name, codec, len(item.data), size, ratio))
+                error = type(exc).__name__
+            ratio = None if error else compression_ratio(len(item.data), size) if item.data else 1.0
+            rows.append(BenchRow(index, item.name, codec, len(item.data), size, ratio, error))
     return rows
 
 

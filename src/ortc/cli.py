@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from .bench import CODEC_ORDER, check_codecs, load_corpus, render_report, run_bench
-from .codec import CodecParams, FrameMode, compress, decompress, inspect_container
+from .codec import CodecParams, compress, decompress, inspect_container
 from .errors import OrtcError
 
 EXIT_OK = 0
@@ -88,9 +88,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"min-run: {info.min_run}")
     print(f"original-length: {info.orig_len}")
     for frame in info.frames:
-        mode = "stored" if frame.mode == FrameMode.STORED else "ort"
         print(
-            f"frame {frame.pass_index}: mode={mode} stride={frame.stride} "
+            f"frame {frame.pass_index}: mode={frame.mode.name.lower()} stride={frame.stride} "
             f"input={frame.input_len} kept={frame.kept_len} tree={frame.tree_len}"
         )
     return EXIT_OK

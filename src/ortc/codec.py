@@ -19,8 +19,9 @@ previous frame.  Wire layout, all integers unsigned little-endian:
              input length u64 | kept length u64 | kept bytes | tree bytes
 
 The tree carries no length field; it is self-delimiting given the frame's
-input length.  A stored container holds the raw input, so compressed size
-never exceeds the input by more than the 16-byte container header.
+input length.  A stored container has no passes, so its payload is the raw
+input and compressed size never exceeds the input by more than the 16-byte
+container header.
 PassFrame owns the frame rules and the readers build one from every header,
 so a bad field raises MalformedFrame (also a ValueError) from one place;
 parse_frame names the frame's byte offset, as truncation errors name theirs.
@@ -192,16 +193,23 @@ def decode_pass(frame: PassFrame) -> bytes:
         return frame.kept
 
     n = frame.input_len
-    bits, _ = _read_tree(frame.tree, n, len(frame.kept), whole=True)
+    bits, consumed = _read_tree(frame.tree, n, len(frame.kept))
+    if consumed != len(frame.tree):
+        trailing = len(frame.tree) - consumed
+        raise MalformedFrame(f"bad position tree: {trailing} bytes after the tree's end at byte {consumed}")
 
     stride = frame.stride
     if bool(bits[:stride].any()):
         first = int(np.argmax(bits[:stride]))
         raise MalformedFrame(f"repeat flagged at byte {first}, before one full stride of {stride}")
     kept = np.frombuffer(frame.kept, dtype=np.uint8)
-    repeats = np.count_nonzero(bits)
-    if n - repeats != kept.size:
-        raise MalformedFrame(f"kept stream holds {kept.size} bytes, bitmap expects {n - repeats}")
+    expected = n - np.count_nonzero(bits)
+    if kept.size != expected:
+        if kept.size < expected:  # the first unflagged byte past the kept stream's end
+            where = f"output byte {np.flatnonzero(~bits)[kept.size]} has no kept byte"
+        else:
+            where = f"kept byte {expected} is left over"
+        raise MalformedFrame(f"kept stream holds {kept.size} bytes, bitmap expects {expected}: {where}")
 
     # Two fills, chosen by a constant gate.  At stride 1 each kept byte fills
     # itself and the repeats up to the next kept byte, which takes one int64
@@ -231,17 +239,14 @@ def decode_pass(frame: PassFrame) -> bytes:
     return out.reshape(-1)[:n].tobytes()
 
 
-def _read_tree(buf, n: int, kept_len: int, whole: bool) -> tuple[np.ndarray, int]:
-    """Walk the position tree at the start of buf, all of buf when whole; returns the bitmap and its length."""
+def _read_tree(buf, n: int, kept_len: int) -> tuple[np.ndarray, int]:
+    """Walk the position tree at the start of buf; returns the bitmap and the tree's length."""
     if n > kept_len + 8 * len(buf):  # each repeat needs a leaf bit: checked before the bitmap is allocated
         raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
     try:
-        bits, consumed = _walk(buf, n)
-        if whole and consumed != len(buf):
-            raise MalformedTree(f"{len(buf) - consumed} bytes after the tree's end at byte {consumed}")
+        return _walk(buf, n)
     except MalformedTree as exc:
         raise MalformedFrame(f"bad position tree: {exc}") from exc
-    return bits, consumed
 
 
 def _read_frame_header(view: memoryview, offset: int) -> tuple[int, int, int, memoryview, int]:
@@ -265,7 +270,7 @@ def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
         frame = PassFrame(mode, stride, input_len, bytes(kept), b"")
     except MalformedFrame as exc:
         raise MalformedFrame(f"frame at byte {offset}: {exc}") from exc
-    tree_len = _read_tree(view[end:], input_len, len(kept), whole=False)[1] if frame.mode == FrameMode.ORT else 0
+    tree_len = _read_tree(view[end:], input_len, len(kept))[1] if frame.mode == FrameMode.ORT else 0
     return replace(frame, tree=bytes(view[end : end + tree_len])), end + tree_len
 
 
@@ -286,8 +291,9 @@ def compress(data: bytes, params: CodecParams | None = None) -> bytes:
     return _CONTAINER_HDR.pack(MAGIC, VERSION, flags, passes, params.min_run, len(data)) + payload
 
 
-def _parse_container_header(blob: bytes) -> tuple[int, int, int, int, int]:
-    if len(blob) < len(MAGIC) or bytes(blob[: len(MAGIC)]) != MAGIC:
+def _parse_container_header(blob: bytes) -> ContainerInfo:
+    """The checked container header, with no frames."""
+    if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BadMagic("not a repeat-tree container")
     if len(blob) < CONTAINER_OVERHEAD:
         raise MalformedFrame("truncated container header")
@@ -298,7 +304,7 @@ def _parse_container_header(blob: bytes) -> tuple[int, int, int, int, int]:
         raise MalformedFrame(f"unknown flag bits {flags:#04x}")
     if flags & _FLAG_STORED and pass_count != 0:
         raise MalformedFrame("stored container with a nonzero pass count")
-    return version, flags, pass_count, min_run, orig_len
+    return ContainerInfo(version, bool(flags & _FLAG_STORED), pass_count, min_run, orig_len, ())
 
 
 @dataclass(frozen=True)
@@ -323,32 +329,25 @@ class ContainerInfo:
     frames: tuple[FrameInfo, ...]
 
 
-def _decode_container(
-    blob: bytes, frames: list[FrameInfo] | None = None
-) -> tuple[tuple[int, int, int, int, int], bytes]:
+def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tuple[ContainerInfo, bytes]:
     """Check the container header and undo its passes, outermost first.
 
-    Returns the header fields and the decoded data, and appends one FrameInfo
-    per pass to frames when a list is given.  Every frame fills its buffer, so
-    the tree is the rest of it.  Frames are views of the blob, so a stored pass
+    Returns the header and the decoded data, and appends one FrameInfo per
+    pass to frames when a list is given.  Every frame fills its buffer, so the
+    tree is the rest of it.  Frames are views of the blob, so a stored pass
     costs no copy; the one copy is at the end.
     """
-    header = _parse_container_header(blob)
-    _, flags, pass_count, _, orig_len = header
+    info = _parse_container_header(blob)
     buf = memoryview(blob)[CONTAINER_OVERHEAD:]
-    if flags & _FLAG_STORED:
-        if len(buf) != orig_len:
-            raise LengthMismatch(f"stored payload is {len(buf)} bytes, header says {orig_len}")
-        return header, bytes(buf)
-    for k in range(pass_count, 0, -1):
+    for k in range(info.pass_count, 0, -1):
         buf = memoryview(buf)
         try:
             mode, stride, input_len, kept, offset = _read_frame_header(buf, 0)
             # each pass grows its input by at most one frame header
-            limit = orig_len + FRAME_OVERHEAD * (k - 1)
+            limit = info.orig_len + FRAME_OVERHEAD * (k - 1)
             if input_len > limit:
                 raise LengthMismatch(
-                    f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
+                    f"pass {k} claims {input_len} input bytes, header's length {info.orig_len} allows {limit}"
                 )
             # the tree is copied, as the walk indexes bytes faster than a view
             frame = PassFrame(mode, stride, input_len, kept, bytes(buf[offset:]))
@@ -357,9 +356,9 @@ def _decode_container(
             buf = decode_pass(frame)
         except MalformedFrame as exc:
             raise MalformedFrame(f"pass {k}: {exc}") from exc
-    if len(buf) != orig_len:
-        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
-    return header, bytes(buf)
+    if len(buf) != info.orig_len:
+        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {info.orig_len}")
+    return info, bytes(buf)
 
 
 def decompress(blob: bytes) -> bytes:
@@ -370,6 +369,5 @@ def decompress(blob: bytes) -> bytes:
 def inspect_container(blob: bytes) -> ContainerInfo:
     """Decode the container frame by frame, reporting structure instead of data."""
     frames: list[FrameInfo] = []
-    (version, flags, pass_count, min_run, orig_len), _ = _decode_container(blob, frames)
-    frames.reverse()
-    return ContainerInfo(version, bool(flags & _FLAG_STORED), pass_count, min_run, orig_len, tuple(frames))
+    info, _ = _decode_container(blob, frames)
+    return replace(info, frames=tuple(reversed(frames)))

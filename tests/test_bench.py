@@ -94,6 +94,13 @@ class TestRunBench:
         rows = run_bench(corpus, CODEC_ORDER, CodecParams())
         assert all(r.error is None for r in rows)
 
+    def test_round_trip_mismatch_keeps_the_size(self, monkeypatch):
+        monkeypatch.setattr("ortc.bench.decompress", lambda blob: b"wrong")
+        rows = run_bench([CorpusItem("a", b"x" * 100)], ["ort", "prlc1"], CodecParams())
+        assert rows[0] == BenchRow(1, "a", "ort", 100, rows[0].compressed, None, "RoundTripMismatch")
+        assert rows[0].compressed > 0
+        assert rows[1].error is None and rows[1].ratio > 1.0  # the other codec's row is untouched
+
 
 class TestRenderReport:
     ROWS = [

@@ -97,6 +97,18 @@ class TestCompressDecompress:
         assert code == 3
         assert target.read_bytes() == b"precious"
 
+    def test_failed_write_is_io_error_and_leaves_no_temp_file(self, tmp_path, capsys):
+        src = tmp_path / "x"
+        src.write_bytes(b"abc")
+        target = tmp_path / "target"
+        target.mkdir()  # the rename onto a directory fails after the temp file is written
+        code, out, err = run(capsys, "compress", str(src), str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target", "x"]
+        assert list(target.iterdir()) == []
+
 
 class TestInspect:
     def test_ten_pass_listing(self, tmp_path, capsys):
@@ -193,6 +205,12 @@ class TestBench:
             code, _, err = run(capsys, "bench", str(tmp_path / "nope"), "--codecs", codecs)
             assert code == 2
             assert "codec '" in err
+
+    def test_empty_codec_list(self, corpus_dir, capsys):
+        code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", ",")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no codecs selected\n"
 
     def test_repeated_codec(self, corpus_dir, capsys):
         code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", "ort,prlc2,ort", "--format", "csv")

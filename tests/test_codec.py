@@ -288,9 +288,11 @@ class TestDecodePass:
 
     def test_kept_stream_length_mismatch(self):
         tree = bytes([0b01000000])  # one repeat at position 1
-        with pytest.raises(MalformedFrame):
+        short = "^kept stream holds 6 bytes, bitmap expects 7: output byte 7 has no kept byte$"
+        with pytest.raises(MalformedFrame, match=short):
             decode_pass(PassFrame(FrameMode.ORT, 1, 8, bytes(6), tree))  # one byte short
-        with pytest.raises(MalformedFrame):
+        long = "^kept stream holds 8 bytes, bitmap expects 7: kept byte 7 is left over$"
+        with pytest.raises(MalformedFrame, match=long):
             decode_pass(PassFrame(FrameMode.ORT, 1, 8, bytes(8), tree))  # one byte extra
 
     def test_bad_tree_rejected(self):
@@ -654,10 +656,29 @@ class TestDecompressErrors:
         with pytest.raises(MalformedFrame, match="^pass 2: repeat flagged at byte 1, before one full stride of 2$"):
             reader(blob)
 
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    @pytest.mark.parametrize(
+        "kept, where",
+        [
+            (bytes(5), "output byte 6 has no kept byte"),  # byte 2 is a repeat, so bytes 6 and 7 lack one
+            (bytes(8), "kept byte 7 is left over"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_kept_stream_length_error_names_the_pass(self, reader, kept, where):
+        # the outer frame of a two-pass container, at stride 2, flags byte 2 of 8
+        outer = struct.pack("<BBQQ", FrameMode.ORT, 2, 8, len(kept)) + kept + bytes([0b00100000])
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 2, 3, 8) + outer
+        message = f"^pass 2: kept stream holds {len(kept)} bytes, bitmap expects 7: {where}$"
+        with pytest.raises(MalformedFrame, match=message):
+            reader(blob)
+
     def test_stored_payload_length_mismatch(self):
         blob = compress(b"abc", CodecParams(passes=0))
-        with pytest.raises(LengthMismatch):
-            decompress(blob + b"x")
+        for reader in (decompress, inspect_container):
+            for bad, size in [(blob[:-1], 2), (blob + b"x", 4)]:  # one payload byte short, one long
+                with pytest.raises(LengthMismatch, match=f"^decoded {size} bytes, header says 3$"):
+                    reader(bad)
 
     def test_corruption_never_escapes_error_hierarchy(self):
         from ortc.errors import OrtcError

@@ -109,6 +109,25 @@ class TestRepeatBitmap:
         with pytest.raises(ValueError):
             bm.bits[1] = True
 
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="^bitmap must be one-dimensional$"):
+            RepeatBitmap(np.zeros((2, 4), dtype=bool))
+
+
+class TestOrtTree:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((-1, 0, b"\x00"), "^num_blocks must be non-negative$"),
+            ((8, 2, b"\x00"), "^depth 2 wrong for 8 blocks$"),
+            ((8, 1, b""), "^a tree serializes to at least its root byte$"),
+        ],
+        ids=["negative-blocks", "wrong-depth", "no-nodes"],
+    )
+    def test_rejects_bad_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            OrtTree(*fields)
+
 
 class TestBitmapToTree:
     def test_two_level_fixture(self):
@@ -172,8 +191,9 @@ class TestBitmapToTree:
 
 class TestRoundTrips:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2048), st.randoms(use_true_random=False))
-    def test_bitmap_tree_bitmap(self, n, rnd):
+    @given(st.integers(0, 2048), st.integers(0, 2**32 - 1))
+    def test_bitmap_tree_bitmap(self, n, seed):
+        rnd = random.Random(seed)  # a seed, as drawing each bit through hypothesis is slow
         density = rnd.choice([0.0, 0.01, 0.2, 0.5, 0.95])
         bits = np.array([rnd.random() < density for _ in range(n)], dtype=bool)
         bm = RepeatBitmap(bits)
@@ -187,8 +207,9 @@ class TestRoundTrips:
             assert tree_to_bitmap(bitmap_to_tree(bm), n) == bm
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2048), st.randoms(use_true_random=False))
-    def test_serialize_parse(self, n, rnd):
+    @given(st.integers(0, 2048), st.integers(0, 2**32 - 1))
+    def test_serialize_parse(self, n, seed):
+        rnd = random.Random(seed)
         positions = [p for p in range(n) if rnd.random() < 0.2]
         tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
         data = serialize_tree(tree)
@@ -263,6 +284,11 @@ class TestMalformedTrees:
         tree = bitmap_to_tree(RepeatBitmap.from_positions([1], 8))
         with pytest.raises(MalformedTree):
             tree_to_bitmap(tree, 64)
+
+    def test_block_count_mismatch_names_both_counts(self):
+        # a well-formed empty depth-1 tree, whose own block count is wrong
+        with pytest.raises(MalformedTree, match="^tree spans 2 blocks, length 64 needs 8$"):
+            tree_to_bitmap(OrtTree(2, 1, b"\x00"), 64)
 
     def test_bit_beyond_length(self):
         tree = OrtTree(1, 0, bytes([0b00000100]))  # bit for position 5
