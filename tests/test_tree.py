@@ -284,9 +284,7 @@ class TestMalformedTrees:
         tree = bitmap_to_tree(RepeatBitmap.from_positions([1], 8))
         with pytest.raises(MalformedTree):
             tree_to_bitmap(tree, 64)
-
-    def test_block_count_mismatch_names_both_counts(self):
-        # a well-formed empty depth-1 tree, whose own block count is wrong
+        # an empty depth-1 tree walks cleanly at length 64, so only its block count is wrong
         with pytest.raises(MalformedTree, match="^tree spans 2 blocks, length 64 needs 8$"):
             tree_to_bitmap(OrtTree(2, 1, b"\x00"), 64)
 
