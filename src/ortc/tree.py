@@ -25,15 +25,16 @@ writes every slot there, and after the root, always written, one boolean
 gather of the nonzero bytes yields the present nodes in preorder, unsorted.
 
 Walking loops in Python only down to the stems, the nodes two levels above
-the leaves, and records each internal node's byte offset in a list for its
-level.  A stem's twigs (nodes one level above the leaves) follow it, each
-directly followed by its popcount(mask) leaf bytes, so the loop steps over
-them and records only each twig's offset.  After the loop one rule rebuilds
-every level, root first.  Preorder lists the nodes of any one level in slot
-order, so a level is one boolean scatter of its node bytes, those at its
-recorded offsets or, on the leaf level, every byte the loop did not record,
-where the unpacked level above has presence bits.  The level above is first
-checked for a presence bit past the slots the level covers.
+the leaves, and tags each internal node's byte with its height, depth - level,
+in a bytearray; leaf bytes keep their 0.  A stem's twigs
+(nodes one level above the leaves) follow it, each directly followed by its
+popcount(mask) leaf bytes, so the loop steps over them and tags only each
+twig; a root that is a leaf or a twig pushes its leaves, which are stepped
+over.  After the loop one rule rebuilds every level, root first.  Preorder
+lists the nodes of any one level in slot order, so a level is one boolean
+scatter of the bytes tagged with its height, where the unpacked level above
+has presence bits.  The level above is first checked for a presence bit past
+the slots the level covers, and the last leaf for a bit at or past the length.
 """
 
 from __future__ import annotations
@@ -214,23 +215,22 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
         raise ValueError(f"length must be non-negative, got {length}")
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
-    offsets = [[] for _ in range(depth)]  # byte offset of every internal node, per level
+    # depth - level of each internal node byte, 0 for a leaf, for no more bytes than the full tree has
+    tags = bytearray(min(len(data), (8 ** (depth + 1) - 1) // 7))
     stem = depth - 2  # the level whose children are twigs
-    pos, stack = 0, [0] if depth > 1 else []
+    pos, stack = 0, [0]
     try:
-        if depth == 1:  # the root is the lone twig
-            offsets[0].append(0)
-            pos = _SKIP[data[0]]
-        elif depth == 0:  # the root is the lone leaf
-            pos = 1
         while stack:
             level = stack.pop()
-            offsets[level].append(pos)
+            if level == depth:  # a leaf, on the stack only when the root is a leaf or a twig
+                pos += 1
+                continue
+            tags[pos] = depth - level
             count = _SKIP[data[pos]] - 1
             pos += 1
             if level == stem:  # a twig, then its popcount(mask) leaf bytes
                 for _ in range(count):
-                    offsets[-1].append(pos)
+                    tags[pos] = 1
                     pos += _SKIP[data[pos]]
             else:
                 stack += [level + 1] * count
@@ -239,26 +239,25 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     if pos > len(data):
         raise MalformedTree(f"node stream truncated at byte {len(data)}")
     arr = np.frombuffer(data, dtype=np.uint8, count=pos)
-    is_leaf = np.ones(pos, dtype=bool)
+    kinds = np.frombuffer(tags, dtype=np.uint8, count=pos)
     bits = np.ones(1, dtype=bool)  # presence bits of the level; the root is always written
     for level in range(depth + 1):
         size = -(-num_blocks // FANOUT ** (depth - level))  # slots the level covers
         # only the last node of the level above can have slots at or past `size`
         if level and nodes[-1] & 0xFF >> size - 8 * (nodes.size - 1):
             slot = size + int(np.argmax(bits[size:]))
-            raise MalformedTree(f"node at byte {int(at[-1])}: presence bit for child slot {slot} past {size} slots")
-        if level < depth:
-            at = np.array(offsets.pop(0), dtype=np.intp)  # popped, so the list is freed
-            is_leaf[at] = False
-        else:
-            at = is_leaf  # every byte the loop did not record
+            byte = int(np.flatnonzero(at)[-1])
+            raise MalformedTree(f"node at byte {byte}: presence bit for child slot {slot} past {size} slots")
+        at = kinds == depth - level
         nodes = np.zeros(size, dtype=np.uint8)
         nodes[bits[:size]] = arr[at]
         if level == depth:
-            del at, is_leaf, bits  # the leaf mask and presence bits, freed before the bitmap is unpacked
+            # only the last leaf can hold positions at or past `length`
+            if nodes[-1] & 0xFF >> length - 8 * (size - 1):
+                byte = int(np.flatnonzero(at)[-1])
+                raise BitBeyondLength(f"leaf at byte {byte}: set bit past position {length}")
+            del at, tags, kinds, bits  # the leaf mask, tags and presence bits, freed before the bitmap is unpacked
         bits = np.unpackbits(nodes).view(bool)  # after the leaf level, the bitmap
-    if bool(bits[length:].any()):
-        raise BitBeyondLength(f"set bit past position {length}")
     return bits[:length], pos
 
 

@@ -621,6 +621,8 @@ class TestDecompressErrors:
             # the last twig also claims block 38, whose leaf byte follows
             (tree[:37] + b"\xfe" + tree[38:] + b"\x80", "node at byte 37: presence bit for child slot 38 past 38"),
             (tree + b"\x00", "1 bytes after the tree's end at byte 44"),
+            # the last leaf, of block 37, also flags position 300
+            (tree[:43] + bytes([tree[43] | 0x08]), "leaf at byte 43: set bit past position 300"),
         ]:
             with pytest.raises(MalformedFrame, match=f"^pass 1: bad position tree: {message}"):
                 reader(container(bad))
@@ -693,6 +695,79 @@ class TestDecompressErrors:
                 decompress(bytes(blob))
             except OrtcError:
                 pass  # any package error is acceptable; crashes are not
+
+    # seed inputs whose first pass has a tree rooted at a leaf (8 bytes), at a
+    # twig (40 bytes), at a stem (300 bytes), and above a stem
+    FUZZ_SEEDS = [
+        bytes(8),
+        b"ab" * 20,
+        bytes(300),
+        bytes(random.Random(1).choice(b"abcd") for _ in range(64)) * 8,
+        b"".join(bytes([v]) * (v % 7 + 1) for v in range(256)) * 4,
+    ]
+
+    @staticmethod
+    def fuzz_container(rng, data):
+        """A container over 1-4 coded or stored passes of data with one field
+        patched: a header field, or a field or tree byte of one frame, which
+        the passes above then wrap as compress would."""
+
+        def near(value):  # a u64 at or around an edge, or anywhere
+            edges = [0, 1, value - 1, value + 1, 2 * value, 2**32, 2**64 - 1, rng.randrange(2**64)]
+            return rng.choice(edges) % 2**64
+
+        passes, orig_len = rng.randint(1, 4), len(data)
+        frames = [data]
+        for stride in range(1, passes + 1):
+            frames.append(encode_pass(frames[-1], stride, 3).to_bytes())
+        pass_count, k = passes, rng.randint(1, passes)
+        frame = bytearray(frames[k])
+        field = rng.choice(["orig_len", "pass_count", "mode", "stride", "input_len", "kept_len", "tree", "tree"])
+        if field == "orig_len":
+            orig_len = near(orig_len)
+        elif field == "pass_count":
+            pass_count = rng.choice([0, passes - 1, passes + 1, 255])
+        elif field == "mode":
+            frame[0] = rng.choice([0, 1, 2, 255])
+        elif field == "stride":
+            frame[1] = rng.choice([0, 1, 2, 255, rng.randrange(256)])
+        elif field in ("input_len", "kept_len"):
+            at = 2 if field == "input_len" else 10
+            struct.pack_into("<Q", frame, at, near(struct.unpack_from("<Q", frame, at)[0]))
+        else:  # flip a tree bit, replace a tree byte, cut the tree, or extend it
+            start = FRAME_OVERHEAD + struct.unpack_from("<Q", frame, 10)[0]
+            i = rng.randrange(start, len(frame) + 1)
+            edit = rng.choice(["flip", "replace", "cut", "extend"])
+            if edit == "cut":
+                del frame[i:]
+            elif edit == "extend":
+                frame += rng.randbytes(rng.randint(1, 3))
+            elif i < len(frame):
+                frame[i] = frame[i] ^ 0x80 >> rng.randrange(8) if edit == "flip" else rng.randrange(256)
+        payload = bytes(frame)
+        for stride in range(k + 1, passes + 1):
+            payload = encode_pass(payload, stride, 3).to_bytes()
+        return struct.pack("<4sBBBBQ", b"ORTC", 1, 0, pass_count, 3, orig_len) + payload
+
+    def test_structured_fuzz_raises_only_package_errors_in_bounded_memory(self):
+        # 1,200 seeded cases in about 1.5 s; a fixed allowance covers the
+        # interpreter's own objects, about 8 KB on the smallest seeds
+        rng = random.Random(0x0F22)
+        tracemalloc.start()
+        try:
+            for case in range(1200):
+                data = rng.choice(self.FUZZ_SEEDS)
+                blob = self.fuzz_container(rng, data)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    (decompress if case % 2 else inspect_container)(blob)
+                except OrtcError:
+                    pass
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= 8 * (len(blob) + len(data)) + 16384, (case, blob.hex())
+        finally:
+            tracemalloc.stop()
 
 
 class TestInspect:

@@ -290,9 +290,12 @@ class TestMalformedTrees:
 
     def test_bit_beyond_length(self):
         tree = OrtTree(1, 0, bytes([0b00000100]))  # bit for position 5
-        with pytest.raises(BitBeyondLength):
+        with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 4$"):
             tree_to_bitmap(tree, 4)
         assert tree_to_bitmap(tree, 6).positions() == [5]
+        # 2 blocks under a twig: the leaf of block 1, at byte 2, holds position 13
+        with pytest.raises(BitBeyondLength, match="^leaf at byte 2: set bit past position 12$"):
+            parse_tree(bytes([0xC0, 0x80, 0b00000100]), 12)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -398,15 +401,16 @@ def test_walk_memory_stays_within_two_bytes_per_input_byte(stride):
     # 1 MiB of zeros: every byte past the first stride repeats
     n = 1 << 20
     nodes = bitmap_to_tree(RepeatBitmap.from_positions(range(stride, n), n)).nodes
-    tracemalloc.start()
-    try:
-        bits, consumed = _walk(nodes, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert consumed == len(nodes)
-    assert np.count_nonzero(bits) == n - stride and not bits[:stride].any()
-    assert peak <= 1.35 * n
+    for data in (nodes, nodes + bytes(2 * n)):  # bytes after the tree cost no memory
+        tracemalloc.start()
+        try:
+            bits, consumed = _walk(data, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert consumed == len(nodes)
+        assert np.count_nonzero(bits) == n - stride and not bits[:stride].any()
+        assert peak <= 1.35 * n
 
 
 class TestParseDifferential:
@@ -439,6 +443,29 @@ class TestParseDifferential:
         tree, consumed = parse_tree(data, n)
         assert consumed == expected_consumed
         assert tree_to_bitmap(tree, n).positions() == sorted(expected)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_every_cut_append_and_flip_of_a_leaf_or_twig_root_agrees_with_oracle(self, n):
+        # up to 64 positions the root is a leaf or a twig, so the walk pops
+        # leaves; the draws above reach such a tree in about 2% of examples
+        for density in (0.0, 0.3, 1.0):
+            rng = random.Random(n)
+            positions = [p for p in range(n) if rng.random() < density]
+            data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+            cases = [data[:end] for end in range(len(data))]
+            cases += [data + tail for tail in (b"\x00", b"\x80", b"\xff", b"\x80\x01", b"\xff\xff")]
+            for bit in range(8 * len(data)):
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 0x80 >> bit % 8
+                cases.append(bytes(flipped))
+            for case in cases:
+                try:
+                    expected, consumed = naive_parse_tree(case, n)
+                except ValueError:
+                    assert_rejected_like_oracle(case, n)
+                    continue
+                bits, got = _walk(case, n)
+                assert (sorted(expected), consumed) == (np.flatnonzero(bits).tolist(), got)
 
 
 class TestStructuralInvariants:
