@@ -24,17 +24,17 @@ level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
 writes every slot there, and after the root, always written, one boolean
 gather of the nonzero bytes yields the present nodes in preorder, unsorted.
 
-Walking loops in Python only down to the stems, the nodes two levels above
-the leaves, and tags each internal node's byte with its height, depth - level,
-in a bytearray; leaf bytes keep their 0.  A stem's twigs
-(nodes one level above the leaves) follow it, each directly followed by its
-popcount(mask) leaf bytes, so the loop steps over them and tags only each
-twig; a root that is a leaf or a twig pushes its leaves, which are stepped
-over.  After the loop one rule rebuilds every level, root first.  Preorder
-lists the nodes of any one level in slot order, so a level is one boolean
-scatter of the bytes tagged with its height, where the unpacked level above
-has presence bits.  The level above is first checked for a presence bit past
-the slots the level covers, and the last leaf for a bit at or past the length.
+Walking loops in Python only down to the stems, the nodes two levels above the
+leaves, and tags each internal node's byte with its height, depth - level, in
+a bytearray; leaf bytes keep their 0.  A stem's twigs (nodes one level above
+the leaves) follow it, each directly followed by its popcount(mask) leaf
+bytes, so the loop steps over them and tags only each twig; a root that is a
+leaf or a twig pushes its leaves, which are stepped over.  After the loop one
+rule rebuilds every level, root first.  Preorder lists the nodes of any one
+level in slot order, so a level is one boolean scatter of the bytes tagged
+with its height, where the unpacked level above has presence bits.  The level
+above is first checked for a presence bit past the slots the level covers, and
+the last leaf for a bit at or past the length.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
         raise ValueError(f"length must be non-negative, got {length}")
     num_blocks = max(-(-length // 8), 1)
     depth = tree_depth(num_blocks)
-    # depth - level of each internal node byte, 0 for a leaf, for no more bytes than the full tree has
+    # depth - level per internal node byte, 0 per leaf; the loop reads no more bytes than the full tree has
     tags = bytearray(min(len(data), (8 ** (depth + 1) - 1) // 7))
     stem = depth - 2  # the level whose children are twigs
     pos, stack = 0, [0]

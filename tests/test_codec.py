@@ -696,8 +696,9 @@ class TestDecompressErrors:
             except OrtcError:
                 pass  # any package error is acceptable; crashes are not
 
-    # seed inputs whose first pass has a tree rooted at a leaf (8 bytes), at a
-    # twig (40 bytes), at a stem (300 bytes), and above a stem
+    # seed inputs whose first coded pass has a tree rooted at a leaf (8 bytes),
+    # a twig (40 bytes, pass 2), a stem (300 and 512 bytes) and above a stem;
+    # the later passes of all but the largest have trees rooted at a twig
     FUZZ_SEEDS = [
         bytes(8),
         b"ab" * 20,
@@ -750,8 +751,9 @@ class TestDecompressErrors:
         return struct.pack("<4sBBBBQ", b"ORTC", 1, 0, pass_count, 3, orig_len) + payload
 
     def test_structured_fuzz_raises_only_package_errors_in_bounded_memory(self):
-        # 1,200 seeded cases in about 1.5 s; a fixed allowance covers the
-        # interpreter's own objects, about 8 KB on the smallest seeds
+        # 1,200 seeded cases, within a 3 s budget (1.4-2.3 s on 2 vCPU); a fixed
+        # allowance covers the interpreter's own objects, about 8 KB on the
+        # smallest seeds, where a bound by multiple alone would need about 150
         rng = random.Random(0x0F22)
         tracemalloc.start()
         try:
