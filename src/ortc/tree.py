@@ -24,17 +24,17 @@ level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
 writes every slot there, and after the root, always written, one boolean
 gather of the nonzero bytes yields the present nodes in preorder, unsorted.
 
-Walking loops in Python only down to the stems, the nodes two levels above the
-leaves, and tags each internal node's byte with its height, depth - level, in
-a bytearray; leaf bytes keep their 0.  A stem's twigs (nodes one level above
-the leaves) follow it, each directly followed by its popcount(mask) leaf
-bytes, so the loop steps over them and tags only each twig; a root that is a
-leaf or a twig pushes its leaves, which are stepped over.  After the loop one
-rule rebuilds every level, root first.  Preorder lists the nodes of any one
-level in slot order, so a level is one boolean scatter of the bytes tagged
-with its height, where the unpacked level above has presence bits.  The level
-above is first checked for a presence bit past the slots the level covers, and
-the last leaf for a bit at or past the length.
+Walking counts heights, the levels below a node: leaves 0, twigs 1, stems 2,
+the root the depth.  The loop pops heights from the root's down to the stems,
+tags each internal node's byte with its height in a bytearray (leaf bytes keep
+0), and steps over a stem's twigs, each directly followed by its
+popcount(mask) leaf bytes, tagging only the twig; a root that is a leaf or a
+twig pushes its leaves, which are stepped over.  After the loop one rule
+rebuilds every level, root first, with the bitmap one more level below the
+leaves: the level at height h covers ceil(N / 8**(h+1)) slots and is one
+boolean scatter of the bytes tagged h (preorder lists a level in slot order)
+where the unpacked level above has presence bits.  Only a level's last node
+can hold a bit past the slots below it, so one test of that node bounds it.
 """
 
 from __future__ import annotations
@@ -213,51 +213,48 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    num_blocks = max(-(-length // 8), 1)
-    depth = tree_depth(num_blocks)
-    # depth - level per internal node byte, 0 per leaf; the loop reads no more bytes than the full tree has
+    depth = tree_depth(max(-(-length // 8), 1))
+    # the height of each internal node byte, 0 per leaf; the loop reads no more bytes than the full tree has
     tags = bytearray(min(len(data), (8 ** (depth + 1) - 1) // 7))
-    stem = depth - 2  # the level whose children are twigs
-    pos, stack = 0, [0]
+    pos, stack = 0, [depth]
     try:
         while stack:
-            level = stack.pop()
-            if level == depth:  # a leaf, on the stack only when the root is a leaf or a twig
+            height = stack.pop()
+            if not height:  # a leaf, on the stack only when the root is a leaf or a twig
                 pos += 1
                 continue
-            tags[pos] = depth - level
+            tags[pos] = height
             count = _SKIP[data[pos]] - 1
             pos += 1
-            if level == stem:  # a twig, then its popcount(mask) leaf bytes
+            if height == 2:  # a stem: each twig, then its popcount(mask) leaf bytes
                 for _ in range(count):
                     tags[pos] = 1
                     pos += _SKIP[data[pos]]
             else:
-                stack += [level + 1] * count
+                stack += [height - 1] * count
     except IndexError:
         pos += 1  # the node byte at pos is missing
     if pos > len(data):
         raise MalformedTree(f"node stream truncated at byte {len(data)}")
     arr = np.frombuffer(data, dtype=np.uint8, count=pos)
     kinds = np.frombuffer(tags, dtype=np.uint8, count=pos)
-    bits = np.ones(1, dtype=bool)  # presence bits of the level; the root is always written
-    for level in range(depth + 1):
-        size = -(-num_blocks // FANOUT ** (depth - level))  # slots the level covers
-        # only the last node of the level above can have slots at or past `size`
-        if level and nodes[-1] & 0xFF >> size - 8 * (nodes.size - 1):
-            slot = size + int(np.argmax(bits[size:]))
-            byte = int(np.flatnonzero(at)[-1])
-            raise MalformedTree(f"node at byte {byte}: presence bit for child slot {slot} past {size} slots")
-        at = kinds == depth - level
+    bits, size = np.ones(1, dtype=bool), 1  # presence bits over the root's one slot; the root is always written
+    for height in range(depth, -1, -1):
+        below = -(-length // FANOUT**height)  # slots the level below covers, the bitmap's below the leaves
+        at = kinds == height
         nodes = np.zeros(size, dtype=np.uint8)
         nodes[bits[:size]] = arr[at]
-        if level == depth:
-            # only the last leaf can hold positions at or past `length`
-            if nodes[-1] & 0xFF >> length - 8 * (size - 1):
-                byte = int(np.flatnonzero(at)[-1])
-                raise BitBeyondLength(f"leaf at byte {byte}: set bit past position {length}")
+        # only the level's last node can hold bits for slots at or past `below`
+        past = int(nodes[-1]) & 0xFF >> below - 8 * (size - 1)
+        if past:
+            byte = int(np.flatnonzero(at)[-1])
+            if height:
+                slot = 8 * size - past.bit_length()
+                raise MalformedTree(f"node at byte {byte}: presence bit for child slot {slot} past {below} slots")
+            raise BitBeyondLength(f"leaf at byte {byte}: set bit past position {length}")
+        if not height:
             del at, tags, kinds, bits  # the leaf mask, tags and presence bits, freed before the bitmap is unpacked
-        bits = np.unpackbits(nodes).view(bool)  # after the leaf level, the bitmap
+        bits, size = np.unpackbits(nodes).view(bool), below  # after the leaves, the bitmap
     return bits[:length], pos
 
 

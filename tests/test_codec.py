@@ -144,7 +144,7 @@ class TestPassFrame:
 
     def test_mode_becomes_a_frame_mode(self):
         frame = PassFrame(1, 1, 16, b"\xaa", bytes.fromhex("c07fff"))
-        assert frame.mode is FrameMode.ORT
+        assert frame.mode is FrameMode.ORT and frame.kept_len == 1
         assert parse_frame(frame.to_bytes()) == (frame, FRAME_OVERHEAD + 4)
         assert PassFrame(0, 1, 1, b"a", b"").mode is FrameMode.STORED
 

@@ -31,6 +31,8 @@ class TestNodeAlgebra:
     def test_parent_examples(self):
         assert parent(9) == 1
         assert parent(1) == 0
+        with pytest.raises(ValueError, match="^node index must be non-negative, got -1$"):
+            parent(-1)
 
     def test_root_has_no_parent(self):
         with pytest.raises(RootHasNoParent):
@@ -40,6 +42,8 @@ class TestNodeAlgebra:
         assert kth_child(1, 8, n=97) == 16
         assert kth_child(11, 3, n=97) == 91
         assert kth_child(0, 1, n=97) == 1
+        with pytest.raises(ValueError, match="^node index must be non-negative, got -1$"):
+            kth_child(-1, 1, n=97)
 
     @pytest.mark.parametrize("k", [0, 9, -1])
     def test_bad_child_ordinal(self, k):
@@ -103,6 +107,9 @@ class TestRepeatBitmap:
     def test_equality(self):
         assert RepeatBitmap.from_positions([2], 8) == RepeatBitmap.from_positions([2], 8)
         assert RepeatBitmap.from_positions([2], 8) != RepeatBitmap.from_positions([2], 9)
+        bm = RepeatBitmap.from_positions([2], 8)
+        assert bm.__eq__(bm.positions()) is NotImplemented and bm != bm.positions()
+        assert repr(bm) == "RepeatBitmap(length=8, set=[2])"
 
     def test_immutable(self):
         bm = RepeatBitmap.from_positions([0], 3)
@@ -260,6 +267,9 @@ class TestMalformedTrees:
             parse_tree(bytes.fromhex("c08080608080"), 80)
         with pytest.raises(MalformedTree, match="^node at byte 0: presence bit for child slot 2 past 2 slots$"):
             parse_tree(bytes([0b00100000, 0x01]), 16)
+        # two bits past the root's 2 slots: the first is named
+        with pytest.raises(MalformedTree, match="^node at byte 0: presence bit for child slot 2 past 2 slots$"):
+            parse_tree(bytes([0b00110000, 1, 1]), 16)
 
     def test_trailing_nodes_name_the_tree_end(self):
         with pytest.raises(MalformedTree, match="^1 trailing node bytes after byte 1$"):
@@ -293,6 +303,11 @@ class TestMalformedTrees:
         with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 4$"):
             tree_to_bitmap(tree, 4)
         assert tree_to_bitmap(tree, 6).positions() == [5]
+        with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 0$"):
+            tree_to_bitmap(OrtTree(0, 0, b"\x80"), 0)
+        # bits for positions 6 and 7, both past 5
+        with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 5$"):
+            tree_to_bitmap(OrtTree(1, 0, b"\x03"), 5)
         # 2 blocks under a twig: the leaf of block 1, at byte 2, holds position 13
         with pytest.raises(BitBeyondLength, match="^leaf at byte 2: set bit past position 12$"):
             parse_tree(bytes([0xC0, 0x80, 0b00000100]), 12)
@@ -373,8 +388,8 @@ class TestWalkDepthBoundaries:
         bad[last_twig] |= 0x80 >> (num_blocks % 8)  # child slot num_blocks
         assert_rejected_like_oracle(bytes(bad) + b"\x80", n)  # with a leaf byte for it
 
-    @pytest.mark.parametrize("num_blocks", [65, 513])
-    @pytest.mark.parametrize("height", [2, 3])  # the last stem, or the last node one level above it
+    # the last twig, the last stem, the last node one level above it, and the root of 513 blocks
+    @pytest.mark.parametrize("height, num_blocks", [(1, 65), (2, 65), (3, 65), (1, 513), (2, 513), (3, 513), (4, 513)])
     def test_presence_bit_past_covered_slots_above_the_twigs(self, num_blocks, height):
         data, n, levels = self.fault_tree(num_blocks)
         level = tree_depth(num_blocks) - height
@@ -385,7 +400,8 @@ class TestWalkDepthBoundaries:
         bad[node] |= 0x80 >> (slots % 8)  # child slot `slots`
         bad += b"\x80" * height  # a chain of nodes down to one leaf, for that child
         assert_rejected_like_oracle(bytes(bad), n)
-        with pytest.raises(MalformedTree, match=f"^node at byte {node}: presence bit for child slot {slots} "):
+        message = f"^node at byte {node}: presence bit for child slot {slots} past {slots} slots$"
+        with pytest.raises(MalformedTree, match=message):
             parse_tree(bytes(bad), n)
 
     @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
