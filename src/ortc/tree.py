@@ -34,7 +34,7 @@ rebuilds every level, root first, with the bitmap one more level below the
 leaves: the level at height h covers ceil(N / 8**(h+1)) slots and is one
 boolean scatter of the bytes tagged h (preorder lists a level in slot order)
 where the unpacked level above has presence bits.  Only a level's last node
-can hold a bit past the slots below it, so one test of that node bounds it.
+can reach past the slots below it, so one test of it bounds each level.
 """
 
 from __future__ import annotations
