@@ -24,7 +24,7 @@ input and compressed size never exceeds the input by more than the 16-byte
 container header.
 PassFrame owns the frame rules and the readers build one from every header,
 so a bad field raises MalformedFrame (also a ValueError) from one place;
-parse_frame names the frame's byte offset, as truncation errors name theirs.
+parse_frame, like the container, reads a frame from the start of its buffer.
 """
 
 from __future__ import annotations
@@ -140,6 +140,10 @@ def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
     # link p (byte p equals byte p - stride) qualifies when a window of `need`
     # in-lane links, all holding, contains it; shifts by multiples of stride
     # stay in the lane, so whole-array slices serve every lane at once
+    if not 1 <= stride <= 255:
+        raise ValueError(f"stride must be in 1..255, got {stride}")
+    if not 1 <= min_run <= 255:
+        raise ValueError(f"min_run must be in 1..255, got {min_run}")
     n = arr.size
     need = max(min_run - 1, 1)
     if need * stride >= n:  # no window fits: links run from stride to n - 1
@@ -160,20 +164,12 @@ def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
 
 def mark_equalities(data: bytes, stride: int, min_run: int) -> RepeatBitmap:
     """Flag every byte that repeats the byte `stride` positions earlier within
-    a maximal equal chain of at least min_run members."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if min_run < 1:
-        raise ValueError(f"min_run must be >= 1, got {min_run}")
+    a maximal equal chain of min_run or more; stride and min_run are in 1..255."""
     return RepeatBitmap(_mark_bits(np.frombuffer(bytes(data), dtype=np.uint8), stride, min_run))
 
 
 def encode_pass(data: bytes, stride: int, min_run: int) -> PassFrame:
     """Encode one pass; falls back to stored mode unless dedup strictly shrinks."""
-    if not 1 <= stride <= 255:
-        raise ValueError(f"stride must be in 1..255, got {stride}")
-    if not 1 <= min_run <= 255:
-        raise ValueError(f"min_run must be in 1..255, got {min_run}")
     data = bytes(data)
     arr = np.frombuffer(data, dtype=np.uint8)
     bits = _mark_bits(arr, stride, min_run)
@@ -249,27 +245,22 @@ def _read_tree(buf, n: int, kept_len: int) -> tuple[np.ndarray, int]:
         raise MalformedFrame(f"bad position tree: {exc}") from exc
 
 
-def _read_frame_header(view: memoryview, offset: int) -> tuple[int, int, int, memoryview, int]:
-    """Unpack the frame header at offset: mode byte, stride, input length, kept stream view, end offset."""
-    if len(view) - offset < FRAME_OVERHEAD:
-        raise MalformedFrame(f"truncated frame header at byte {offset}")
-    mode, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view, offset)
-    offset += FRAME_OVERHEAD
-    if len(view) - offset < kept_len:
-        raise MalformedFrame(f"truncated kept stream at byte {offset}: {kept_len} bytes declared")
-    return mode, stride, input_len, view[offset : offset + kept_len], offset + kept_len
+def _read_frame_header(view: memoryview) -> tuple[int, int, int, memoryview, int]:
+    """Unpack the frame header at the start of view: mode byte, stride, input length, kept stream, end offset."""
+    if len(view) < FRAME_OVERHEAD:
+        raise MalformedFrame("truncated frame header at byte 0")
+    mode, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view)
+    end = FRAME_OVERHEAD + kept_len
+    if len(view) < end:
+        raise MalformedFrame(f"truncated kept stream at byte {FRAME_OVERHEAD}: {kept_len} bytes declared")
+    return mode, stride, input_len, view[FRAME_OVERHEAD:end], end
 
 
-def parse_frame(data: bytes, offset: int = 0) -> tuple[PassFrame, int]:
-    """Parse one frame starting at offset; returns the frame and the end offset."""
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
+def parse_frame(data: bytes) -> tuple[PassFrame, int]:
+    """Parse the frame at the start of data; returns the frame and its end offset."""
     view = memoryview(data)
-    mode, stride, input_len, kept, end = _read_frame_header(view, offset)
-    try:  # the fields are checked before the tree is walked
-        frame = PassFrame(mode, stride, input_len, bytes(kept), b"")
-    except MalformedFrame as exc:
-        raise MalformedFrame(f"frame at byte {offset}: {exc}") from exc
+    mode, stride, input_len, kept, end = _read_frame_header(view)
+    frame = PassFrame(mode, stride, input_len, bytes(kept), b"")  # the fields are checked before the tree is walked
     tree_len = _read_tree(view[end:], input_len, len(kept))[1] if frame.mode == FrameMode.ORT else 0
     return replace(frame, tree=bytes(view[end : end + tree_len])), end + tree_len
 
@@ -342,7 +333,7 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
     for k in range(info.pass_count, 0, -1):
         buf = memoryview(buf)
         try:
-            mode, stride, input_len, kept, offset = _read_frame_header(buf, 0)
+            mode, stride, input_len, kept, offset = _read_frame_header(buf)
             # each pass grows its input by at most one frame header
             limit = info.orig_len + FRAME_OVERHEAD * (k - 1)
             if input_len > limit:

@@ -234,14 +234,15 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
                 stack += [height - 1] * count
     except IndexError:
         pos += 1  # the node byte at pos is missing
-    if pos > len(data):
-        raise MalformedTree(f"node stream truncated at byte {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8, count=pos)
-    kinds = np.frombuffer(tags, dtype=np.uint8, count=pos)
+    cut = pos > len(data)  # the stream ended early: a level short of nodes raises, unless a bad bit above it does
+    arr = np.frombuffer(data, dtype=np.uint8, count=min(pos, len(data)))
+    kinds = np.frombuffer(tags, dtype=np.uint8, count=arr.size)
     bits, size = np.ones(1, dtype=bool), 1  # presence bits over the root's one slot; the root is always written
     for height in range(depth, -1, -1):
         below = -(-length // FANOUT**height)  # slots the level below covers, the bitmap's below the leaves
         at = kinds == height
+        if cut and np.count_nonzero(at) < np.count_nonzero(bits[:size]):
+            raise MalformedTree(f"node stream truncated at byte {len(data)}")
         nodes = np.zeros(size, dtype=np.uint8)
         nodes[bits[:size]] = arr[at]
         # only the level's last node can hold bits for slots at or past `below`

@@ -398,11 +398,12 @@ class TestWalkDepthBoundaries:
         assert slots % 8 and node_levels(data, n)[-1] == level + height  # the node is the last of its level
         bad = bytearray(data)
         bad[node] |= 0x80 >> (slots % 8)  # child slot `slots`
-        bad += b"\x80" * height  # a chain of nodes down to one leaf, for that child
-        assert_rejected_like_oracle(bytes(bad), n)
         message = f"^node at byte {node}: presence bit for child slot {slots} past {slots} slots$"
-        with pytest.raises(MalformedTree, match=message):
-            parse_tree(bytes(bad), n)
+        # with a chain of nodes down to one leaf for that child, and with the stream ending inside its subtree
+        for tail in (b"\x80" * height, b""):
+            assert_rejected_like_oracle(bytes(bad) + tail, n)
+            with pytest.raises(MalformedTree, match=message):
+                parse_tree(bytes(bad) + tail, n)
 
     @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
     def test_stream_ends_right_after_a_stem(self, num_blocks):
