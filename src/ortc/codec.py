@@ -137,13 +137,13 @@ class PassFrame:
 
 
 def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
-    # link p (byte p equals byte p - stride) qualifies when a window of `need`
-    # in-lane links, all holding, contains it; shifts by multiples of stride
-    # stay in the lane, so whole-array slices serve every lane at once
     if not 1 <= stride <= 255:
         raise ValueError(f"stride must be in 1..255, got {stride}")
     if not 1 <= min_run <= 255:
         raise ValueError(f"min_run must be in 1..255, got {min_run}")
+    # link p (byte p equals byte p - stride) qualifies when a window of `need`
+    # in-lane links, all holding, contains it; shifts by multiples of stride
+    # stay in the lane, so whole-array slices serve every lane at once
     n = arr.size
     need = max(min_run - 1, 1)
     if need * stride >= n:  # no window fits: links run from stride to n - 1
