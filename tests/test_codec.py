@@ -413,6 +413,17 @@ class TestParseFrame:
         assert end == len(good)
         assert decode_pass(frame) == b"\xaa" * 16
 
+    def test_frames_in_sequence_are_read_through_slices(self):
+        # a frame's end offset counts from the start of the slice it was read from
+        inputs = [b"\xaa" * 16, bytes(range(40)), b"ab" * 30]
+        blob = b"".join(encode_pass(data, 2, 3).to_bytes() for data in inputs)
+        view, decoded = memoryview(blob), []
+        while view:
+            frame, end = parse_frame(view)
+            decoded.append(decode_pass(frame))
+            view = view[end:]
+        assert decoded == inputs
+
     @pytest.mark.parametrize(
         "frame, message",
         [
