@@ -207,11 +207,12 @@ def decode_pass(frame: PassFrame) -> bytes:
             where = f"kept byte {expected} is left over"
         raise MalformedFrame(f"kept stream holds {kept.size} bytes, bitmap expects {expected}: {where}")
 
-    # Two fills, chosen by a constant gate.  At stride 1 each kept byte fills
-    # itself and the repeats up to the next kept byte, which takes one int64
-    # count per kept byte: at most n bytes while at most one byte in eight is
-    # kept.  Above that the counts cost more time and memory than the lane
-    # fill: about five times its time and memory when nearly every byte is kept.
+    # Two fills, chosen by a constant gate that bounds memory.  At stride 1 each
+    # kept byte fills itself and the repeats up to the next kept byte, with one
+    # int64 count per kept byte: at most n bytes while at most one byte in eight
+    # is kept.  Measured on 1 MiB frames with random kept bytes, this fill beat
+    # the lane fill on time up to 9/10 kept and on memory up to 1/2, but took 2x
+    # the time and 4.7x the memory at 98%; workload frames keep under 1/13 or 98%.
     if stride == 1 and 8 * kept.size <= n:
         counts = np.flatnonzero(np.logical_not(bits, out=bits))
         del bits
@@ -282,22 +283,6 @@ def compress(data: bytes, params: CodecParams | None = None) -> bytes:
     return _CONTAINER_HDR.pack(MAGIC, VERSION, flags, passes, params.min_run, len(data)) + payload
 
 
-def _parse_container_header(blob: bytes) -> ContainerInfo:
-    """The checked container header, with no frames."""
-    if bytes(blob[: len(MAGIC)]) != MAGIC:
-        raise BadMagic("not a repeat-tree container")
-    if len(blob) < CONTAINER_OVERHEAD:
-        raise MalformedFrame("truncated container header")
-    _, version, flags, pass_count, min_run, orig_len = _CONTAINER_HDR.unpack_from(blob, 0)
-    if version != VERSION:
-        raise UnsupportedVersion(f"container version {version}, expected {VERSION}")
-    if flags & ~_FLAG_STORED:
-        raise MalformedFrame(f"unknown flag bits {flags:#04x}")
-    if flags & _FLAG_STORED and pass_count != 0:
-        raise MalformedFrame("stored container with a nonzero pass count")
-    return ContainerInfo(version, bool(flags & _FLAG_STORED), pass_count, min_run, orig_len, ())
-
-
 @dataclass(frozen=True)
 class FrameInfo:
     """Per-pass summary for inspection; pass 1 is the innermost (first) pass."""
@@ -321,24 +306,34 @@ class ContainerInfo:
 
 
 def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tuple[ContainerInfo, bytes]:
-    """Check the container header and undo its passes, outermost first.
+    """Check the container header, undo its passes outermost first, and describe it.
 
-    Returns the header and the decoded data, and appends one FrameInfo per
-    pass to frames when a list is given.  Every frame fills its buffer, so the
-    tree is the rest of it.  Frames are views of the blob, so a stored pass
-    costs no copy; the one copy is at the end.
+    Returns the ContainerInfo, which lists one FrameInfo per pass, innermost
+    first, only when a list is given to collect them, and the decoded data.
+    Every frame fills its buffer, so the tree is the rest of it.  Frames are
+    views of the blob, so a stored pass costs no copy; the one copy is at the end.
     """
-    info = _parse_container_header(blob)
+    if bytes(blob[: len(MAGIC)]) != MAGIC:
+        raise BadMagic("not a repeat-tree container")
+    if len(blob) < CONTAINER_OVERHEAD:
+        raise MalformedFrame("truncated container header")
+    _, version, flags, pass_count, min_run, orig_len = _CONTAINER_HDR.unpack_from(blob, 0)
+    if version != VERSION:
+        raise UnsupportedVersion(f"container version {version}, expected {VERSION}")
+    if flags & ~_FLAG_STORED:
+        raise MalformedFrame(f"unknown flag bits {flags:#04x}")
+    if flags & _FLAG_STORED and pass_count != 0:
+        raise MalformedFrame("stored container with a nonzero pass count")
     buf = memoryview(blob)[CONTAINER_OVERHEAD:]
-    for k in range(info.pass_count, 0, -1):
+    for k in range(pass_count, 0, -1):
         buf = memoryview(buf)
         try:
             mode, stride, input_len, kept, offset = _read_frame_header(buf)
             # each pass grows its input by at most one frame header
-            limit = info.orig_len + FRAME_OVERHEAD * (k - 1)
+            limit = orig_len + FRAME_OVERHEAD * (k - 1)
             if input_len > limit:
                 raise LengthMismatch(
-                    f"pass {k} claims {input_len} input bytes, header's length {info.orig_len} allows {limit}"
+                    f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
                 )
             # the tree is copied, as the walk indexes bytes faster than a view
             frame = PassFrame(mode, stride, input_len, kept, bytes(buf[offset:]))
@@ -347,8 +342,9 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
             buf = decode_pass(frame)
         except MalformedFrame as exc:
             raise MalformedFrame(f"pass {k}: {exc}") from exc
-    if len(buf) != info.orig_len:
-        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {info.orig_len}")
+    if len(buf) != orig_len:
+        raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
+    info = ContainerInfo(version, flags == _FLAG_STORED, pass_count, min_run, orig_len, tuple(reversed(frames or ())))
     return info, bytes(buf)
 
 
@@ -359,6 +355,4 @@ def decompress(blob: bytes) -> bytes:
 
 def inspect_container(blob: bytes) -> ContainerInfo:
     """Decode the container frame by frame, reporting structure instead of data."""
-    frames: list[FrameInfo] = []
-    info, _ = _decode_container(blob, frames)
-    return replace(info, frames=tuple(reversed(frames)))
+    return _decode_container(blob, [])[0]

@@ -89,12 +89,12 @@ def kth_child(r: int, k: int, n: int) -> int:
 def tree_depth(num_blocks: int) -> int:
     """Number of internal levels needed above num_blocks leaf blocks.
 
-    Smallest d >= 0 with 8**d >= num_blocks; 0 means the lone leaf is the root.
+    Smallest d >= 0 with 8**d >= num_blocks, so 0 for no block or one; the lone leaf is then the root.
     """
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    # 8**d >= n exactly when 3*d >= (n - 1).bit_length()
-    return -(-(num_blocks - 1).bit_length() // 3)
+    if num_blocks < 0:
+        raise ValueError(f"num_blocks must be >= 0, got {num_blocks}")
+    # 8**d >= n exactly when 3*d >= (n - 1).bit_length(); n = 0 takes n = 1's depth
+    return -(-max(num_blocks - 1, 0).bit_length() // 3)
 
 
 class RepeatBitmap:
@@ -163,7 +163,7 @@ class OrtTree:
     def __post_init__(self) -> None:
         if self.num_blocks < 0:
             raise ValueError("num_blocks must be non-negative")
-        if self.depth != tree_depth(max(self.num_blocks, 1)):
+        if self.depth != tree_depth(self.num_blocks):
             raise ValueError(f"depth {self.depth} wrong for {self.num_blocks} blocks")
         if not self.nodes:
             raise ValueError("a tree serializes to at least its root byte")
@@ -213,7 +213,7 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    depth = tree_depth(max(-(-length // 8), 1))
+    depth = tree_depth(-(-length // 8))
     # the height of each internal node byte, 0 per leaf; the loop reads no more bytes than the full tree has
     tags = bytearray(min(len(data), (8 ** (depth + 1) - 1) // 7))
     pos, stack = 0, [depth]
@@ -283,4 +283,4 @@ def parse_tree(data: bytes, length: int) -> tuple[OrtTree, int]:
     """
     num_blocks = -(-length // 8)
     _, consumed = _walk(data, length)
-    return OrtTree(num_blocks, tree_depth(max(num_blocks, 1)), bytes(data[:consumed])), consumed
+    return OrtTree(num_blocks, tree_depth(num_blocks), bytes(data[:consumed])), consumed

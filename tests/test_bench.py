@@ -94,6 +94,16 @@ class TestRunBench:
         rows = run_bench(corpus, CODEC_ORDER, CodecParams())
         assert all(r.error is None for r in rows)
 
+    def test_defaults_are_every_codec_and_the_default_params(self):
+        rng = random.Random(5)
+        corpus = [
+            CorpusItem("runs", b"".join(bytes([rng.randrange(100)]) * rng.randrange(1, 50) for _ in range(60))),
+            CorpusItem("text", b"abcabcabc the the the " * 40),
+        ]
+        rows = run_bench(corpus)
+        assert [r.codec for r in rows] == list(CODEC_ORDER) * 2
+        assert rows == run_bench(corpus, CODEC_ORDER, CodecParams())
+
     def test_round_trip_mismatch_keeps_the_size(self, monkeypatch):
         monkeypatch.setattr("ortc.bench.decompress", lambda blob: b"wrong")
         rows = run_bench([CorpusItem("a", b"x" * 100)], ["ort", "prlc1"], CodecParams())

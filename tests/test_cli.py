@@ -196,6 +196,17 @@ class TestBench:
         code, _, _ = run(capsys, "bench", str(tmp_path / "nope"))
         assert code == 1
 
+    def test_unreadable_corpus(self, corpus_dir, capsys, monkeypatch):
+        # patched, since permission bits do not stop a read by root
+        def fail(root):
+            raise PermissionError(13, "Permission denied", str(root / "noise.bin"))
+
+        monkeypatch.setattr("ortc.cli.load_corpus", fail)
+        code, out, err = run(capsys, "bench", str(corpus_dir))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot read corpus: [Errno 13] Permission denied: '{corpus_dir / 'noise.bin'}'\n"
+
     def test_unknown_codec(self, corpus_dir, capsys):
         code, _, err = run(capsys, "bench", str(corpus_dir), "--codecs", "zstd")
         assert code == 2

@@ -85,12 +85,12 @@ class TestTreeDepth:
         assert tree_depth(num_blocks) == expected
 
     def test_matches_brute_force_search(self):
-        for nb in list(range(1, 700)) + [4095, 4096, 4097, 8192, 2**16]:
+        for nb in list(range(0, 700)) + [4095, 4096, 4097, 8192, 2**16]:
             assert tree_depth(nb) == naive_depth(nb)
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            tree_depth(0)
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="num_blocks must be >= 0, got -1"):
+            tree_depth(-1)
 
 
 class TestRepeatBitmap:
