@@ -310,8 +310,8 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
 
     Returns the ContainerInfo, which lists one FrameInfo per pass, innermost
     first, only when a list is given to collect them, and the decoded data.
-    Every frame fills its buffer, so the tree is the rest of it.  Frames are
-    views of the blob, so a stored pass costs no copy; the one copy is at the end.
+    Every frame fills its buffer, so the tree is the rest of it.  Kept streams and
+    trees are views of that buffer: a stored pass costs no copy, the one copy is at the end.
     """
     if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BadMagic("not a repeat-tree container")
@@ -335,8 +335,7 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
                 raise LengthMismatch(
                     f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
                 )
-            # the tree is copied, as the walk indexes bytes faster than a view
-            frame = PassFrame(mode, stride, input_len, kept, bytes(buf[offset:]))
+            frame = PassFrame(mode, stride, input_len, kept, buf[offset:])
             if frames is not None:
                 frames.append(FrameInfo(k, frame.mode, stride, input_len, len(kept), len(frame.tree)))
             buf = decode_pass(frame)

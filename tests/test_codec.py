@@ -309,6 +309,17 @@ class TestDecodePass:
         with pytest.raises(MalformedFrame):
             decode_pass(frame)
 
+    def test_input_length_bound_at_its_edge(self):
+        # one kept byte and one tree byte reach at most 1 + 8 input bytes
+        at_bound = PassFrame(FrameMode.ORT, 1, 9, b"\xaa", b"\x00")
+        with pytest.raises(MalformedFrame, match="^kept stream holds 1 bytes, bitmap expects 9: "):
+            decode_pass(at_bound)
+        assert parse_frame(at_bound.to_bytes()) == (at_bound, FRAME_OVERHEAD + 2)
+        past = PassFrame(FrameMode.ORT, 1, 10, b"\xaa", b"\x00")
+        for read in (lambda: decode_pass(past), lambda: parse_frame(past.to_bytes())):
+            with pytest.raises(MalformedFrame, match="^input length 10 unreachable from kept stream and tree$"):
+                read()
+
     def test_stored_frame_roundtrip(self):
         frame = PassFrame(FrameMode.STORED, 5, 4, b"abcd", b"")
         assert decode_pass(frame) == b"abcd"
@@ -381,6 +392,25 @@ class TestDecodePass:
             tracemalloc.stop()
         assert out == data
         # no array of an index per input byte: those take 4 or 8 bytes each
+        assert peak <= 3.5 * n
+
+    def test_stride_one_frame_keeping_one_byte_in_eight_takes_the_repeat_fill(self):
+        # at the gate: the repeat fill holds one count per kept byte, the lane
+        # fill a mask, a lane-major mask and the output besides (over 5 B/B)
+        n = 1 << 18
+        rng = np.random.default_rng(8)
+        kept_at = np.concatenate(([0], 1 + rng.choice(n - 1, n // 8 - 1, replace=False)))
+        bits = np.ones(n, dtype=bool)
+        bits[kept_at] = False
+        kept = rng.integers(0, 256, n // 8, dtype=np.uint8).tobytes()
+        frame = PassFrame(FrameMode.ORT, 1, n, kept, bitmap_to_tree(RepeatBitmap(bits)).nodes)
+        tracemalloc.start()
+        try:
+            out = decode_pass(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == naive_decode_frame(frame.to_bytes())
         assert peak <= 3.5 * n
 
 
@@ -494,6 +524,14 @@ class TestCompressDecompress:
     def test_too_many_passes(self):
         with pytest.raises(TooManyPasses):
             CodecParams(passes=256)
+
+    def test_most_passes_the_header_holds(self):
+        data = bytes(4096)
+        blob = compress(data, CodecParams(passes=255))
+        info = inspect_container(blob)
+        assert not info.stored and info.pass_count == len(info.frames) == 255
+        assert decompress(blob) == data
+        assert blob == naive_compress(data, 255, 3)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -688,6 +726,21 @@ class TestDecompressErrors:
                 with pytest.raises(LengthMismatch, match=f"^decoded {size} bytes, header says 3$"):
                     reader(bad)
 
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_frame_input_claim_bound_at_its_edge(self, reader):
+        # three stored passes over 100 bytes: pass k's input grows by one frame header per pass below it
+        data = random.Random(100).randbytes(100)
+        current = data
+        for k in (1, 2, 3):
+            current = PassFrame(FrameMode.STORED, k, len(current), current, b"").to_bytes()
+        assert len(current) == 100 + 3 * FRAME_OVERHEAD
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 3, 3, 100) + current  # pass 3 claims 136, the limit
+        result = reader(blob)
+        assert result == data if reader is decompress else [f.input_len for f in result.frames] == [100, 118, 136]
+        short = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 3, 3, 99) + current
+        with pytest.raises(LengthMismatch, match="^pass 3 claims 136 input bytes, header's length 99 allows 135$"):
+            reader(short)
+
     def test_corruption_never_escapes_error_hierarchy(self):
         from ortc.errors import OrtcError
 
@@ -818,6 +871,8 @@ def test_one_tree_walk_per_coded_frame(monkeypatch):
     monkeypatch.setattr(ortc.codec, "_walk", counting_walk)
     assert decompress(blob) == data
     assert len(calls) == coded
+    # each tree is walked where it lies in the pass's buffer, not from a copy
+    assert all(isinstance(tree, memoryview) for tree, _ in calls)
 
 
 # Inputs mixing runs of a few symbols with random bytes, so that passes
