@@ -726,20 +726,19 @@ class TestDecompressErrors:
                 with pytest.raises(LengthMismatch, match=f"^decoded {size} bytes, header says 3$"):
                     reader(bad)
 
-    @pytest.mark.parametrize("reader", [decompress, inspect_container])
-    def test_frame_input_claim_bound_at_its_edge(self, reader):
+    def test_frame_input_claim_bound_at_its_edge(self):
         # three stored passes over 100 bytes: pass k's input grows by one frame header per pass below it
         data = random.Random(100).randbytes(100)
         current = data
         for k in (1, 2, 3):
             current = PassFrame(FrameMode.STORED, k, len(current), current, b"").to_bytes()
-        assert len(current) == 100 + 3 * FRAME_OVERHEAD
         blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 3, 3, 100) + current  # pass 3 claims 136, the limit
-        result = reader(blob)
-        assert result == data if reader is decompress else [f.input_len for f in result.frames] == [100, 118, 136]
+        assert decompress(blob) == data
+        assert [f.input_len for f in inspect_container(blob).frames] == [100, 118, 136]
         short = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 3, 3, 99) + current
-        with pytest.raises(LengthMismatch, match="^pass 3 claims 136 input bytes, header's length 99 allows 135$"):
-            reader(short)
+        for reader in (decompress, inspect_container):
+            with pytest.raises(LengthMismatch, match="^pass 3 claims 136 input bytes, header's length 99 allows 135$"):
+                reader(short)
 
     def test_corruption_never_escapes_error_hierarchy(self):
         from ortc.errors import OrtcError
