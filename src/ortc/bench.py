@@ -79,7 +79,9 @@ def _roundtrip(codec: str, data: bytes, params: CodecParams) -> tuple[int, bytes
 
 
 def check_codecs(codecs: Sequence[str]) -> None:
-    """Raise ValueError, naming the codec, for an unknown codec or one given twice."""
+    """Raise ValueError for an empty list, or, naming the codec, for an unknown codec or one given twice."""
+    if not codecs:
+        raise ValueError("no codecs selected")
     for i, codec in enumerate(codecs):
         if codec not in CODEC_ORDER:
             raise ValueError(f"unknown codec {codec!r} (choose from {', '.join(CODEC_ORDER)})")

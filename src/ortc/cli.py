@@ -102,8 +102,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         check_codecs(codecs)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc)) from exc
-    if not codecs:
-        raise _Failure(EXIT_USAGE, "no codecs selected")
 
     root = Path(args.directory)
     if not root.is_dir():

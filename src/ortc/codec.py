@@ -183,10 +183,10 @@ def encode_pass(data: bytes, stride: int, min_run: int) -> PassFrame:
     return PassFrame(FrameMode.ORT, stride, len(data), arr[np.logical_not(bits, out=bits)].tobytes(), tree)
 
 
-def decode_pass(frame: PassFrame) -> bytes:
-    """Rebuild a pass's input from its kept stream and position tree."""
+def decode_pass(frame: PassFrame) -> memoryview:
+    """Rebuild a pass's input from its kept stream and position tree, as a read-only view."""
     if frame.mode == FrameMode.STORED:
-        return frame.kept
+        return memoryview(frame.kept).toreadonly()
 
     n = frame.input_len
     bits, consumed = _read_tree(frame.tree, n, len(frame.kept))
@@ -218,7 +218,7 @@ def decode_pass(frame: PassFrame) -> bytes:
         del bits
         counts[:-1] = counts[1:] - counts[:-1]
         counts[-1:] = n - counts[-1:]
-        return np.repeat(kept, counts).tobytes()
+        return memoryview(np.repeat(kept, counts)).toreadonly()
 
     rows = -(-n // stride)
     keep = np.zeros((rows, stride), dtype=bool)  # lanes as columns, the last row padded with repeats
@@ -233,7 +233,7 @@ def decode_pass(frame: PassFrame) -> bytes:
     del keep
     edges = np.flatnonzero(lanes[1:] != lanes[:-1])  # pairs: the kept byte before a run, its last repeat
     out.T[lanes[:-1].reshape(stride, rows)] = np.repeat(out.T.flat[edges[::2]], edges[1::2] - edges[::2])
-    return out.reshape(-1)[:n].tobytes()
+    return memoryview(out.reshape(-1)[:n]).toreadonly()
 
 
 def _read_tree(buf, n: int, kept_len: int) -> tuple[np.ndarray, int]:
@@ -305,13 +305,13 @@ class ContainerInfo:
     frames: tuple[FrameInfo, ...]
 
 
-def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tuple[ContainerInfo, bytes]:
+def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tuple[ContainerInfo, memoryview]:
     """Check the container header, undo its passes outermost first, and describe it.
 
-    Returns the ContainerInfo, which lists one FrameInfo per pass, innermost
-    first, only when a list is given to collect them, and the decoded data.
-    Every frame fills its buffer, so the tree is the rest of it.  Kept streams and
-    trees are views of that buffer: a stored pass costs no copy, the one copy is at the end.
+    Returns the ContainerInfo, which lists one FrameInfo per pass, innermost first, only
+    when a list is given to collect them, and the decoded data as decode_pass's read-only view.
+    Every frame fills its buffer, so the tree is the rest of it.  Kept streams and trees are
+    views of that buffer, so no pass copies: decompress makes the one copy, inspect_container none.
     """
     if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BadMagic("not a repeat-tree container")
@@ -326,7 +326,6 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
         raise MalformedFrame("stored container with a nonzero pass count")
     buf = memoryview(blob)[CONTAINER_OVERHEAD:]
     for k in range(pass_count, 0, -1):
-        buf = memoryview(buf)
         try:
             mode, stride, input_len, kept, offset = _read_frame_header(buf)
             # each pass grows its input by at most one frame header
@@ -344,12 +343,12 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
     if len(buf) != orig_len:
         raise LengthMismatch(f"decoded {len(buf)} bytes, header says {orig_len}")
     info = ContainerInfo(version, flags == _FLAG_STORED, pass_count, min_run, orig_len, tuple(reversed(frames or ())))
-    return info, bytes(buf)
+    return info, buf
 
 
 def decompress(blob: bytes) -> bytes:
     """Invert compress; raises rather than ever returning partial output."""
-    return _decode_container(blob)[1]
+    return bytes(_decode_container(blob)[1])
 
 
 def inspect_container(blob: bytes) -> ContainerInfo:

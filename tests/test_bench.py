@@ -85,6 +85,10 @@ class TestRunBench:
         with pytest.raises(ValueError, match="'ort'"):
             run_bench([CorpusItem("a", b"x")], ("ort", "prlc1", "ort"))
 
+    def test_rejects_empty_codec_list(self):
+        with pytest.raises(ValueError, match="^no codecs selected$"):
+            run_bench([CorpusItem("a", b"x")], ())
+
     def test_every_ratio_is_roundtrip_verified(self):
         rng = random.Random(4)
         corpus = [

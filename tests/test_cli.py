@@ -217,11 +217,12 @@ class TestBench:
             assert code == 2
             assert "codec '" in err
 
-    def test_empty_codec_list(self, corpus_dir, capsys):
-        code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", ",")
-        assert code == 2
-        assert out == ""
-        assert err == "error: no codecs selected\n"
+    def test_empty_codec_list(self, corpus_dir, tmp_path, capsys):
+        for directory in (corpus_dir, tmp_path / "nope"):  # checked before the corpus is read
+            code, out, err = run(capsys, "bench", str(directory), "--codecs", ",")
+            assert code == 2
+            assert out == ""
+            assert err == "error: no codecs selected\n"
 
     def test_repeated_codec(self, corpus_dir, capsys):
         code, out, err = run(capsys, "bench", str(corpus_dir), "--codecs", "ort,prlc2,ort", "--format", "csv")

@@ -244,11 +244,18 @@ class TestEncodePass:
 
 class TestDecodePass:
     def test_inverse_of_encode(self):
+        modes = set()
         for data in ADVERSARIAL:
             for stride in (1, 2, 3):
                 for min_run in (1, 3):
                     frame = encode_pass(data, stride, min_run)
-                    assert decode_pass(frame) == data
+                    out = decode_pass(frame)
+                    # a read-only view of the pass's input, for stored and coded frames alike
+                    assert isinstance(out, memoryview) and out.readonly and out == data
+                    with pytest.raises(TypeError):
+                        out[:] = bytes(len(out))
+                    modes.add(frame.mode)
+        assert modes == set(FrameMode)
 
     def test_constant_run_frame(self):
         frame = PassFrame(FrameMode.ORT, 1, 16, b"\xaa", bytes.fromhex("c07fff"))
@@ -570,6 +577,23 @@ class TestCompressDecompress:
         assert info.pass_count == 10
         assert [f.stride for f in info.frames] == list(range(1, 11))
         assert [f.pass_index for f in info.frames] == list(range(1, 11))
+
+    def test_decode_memory_stays_within_a_few_bytes_per_input_byte(self):
+        # 1 MiB of random bytes in 16-byte runs: each pass decodes to a view of
+        # one array, and decompress copies the last one once
+        n = 1 << 20
+        heads = np.random.default_rng(16).integers(0, 256, n // 16, dtype=np.uint8)
+        data = np.repeat(heads, 16).tobytes()
+        blob = compress(data)
+        for read, bound in ((decompress, 2.4), (inspect_container, 2.0)):
+            tracemalloc.start()
+            try:
+                out = read(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * n, read.__name__
+        assert out.frames[0].mode == FrameMode.ORT and decompress(blob) == data
 
     def test_random_data_stores(self):
         data = random.Random(11).randbytes(65536)
