@@ -585,15 +585,15 @@ class TestCompressDecompress:
         heads = np.random.default_rng(16).integers(0, 256, n // 16, dtype=np.uint8)
         data = np.repeat(heads, 16).tobytes()
         blob = compress(data)
+        assert inspect_container(blob).frames[0].mode == FrameMode.ORT and decompress(blob) == data
         for read, bound in ((decompress, 2.4), (inspect_container, 2.0)):
             tracemalloc.start()
             try:
-                out = read(blob)
+                read(blob)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= bound * n, read.__name__
-        assert out.frames[0].mode == FrameMode.ORT and decompress(blob) == data
 
     def test_random_data_stores(self):
         data = random.Random(11).randbytes(65536)
