@@ -147,7 +147,7 @@ def _render_markdown(rows: Sequence[BenchRow]) -> str:
     lines = ["| " + " | ".join(columns) + " |"]
     lines.append("|" + "|".join("---:" if c != "Item" else ":---" for c in columns) + "|")
     for index, name in items.items():
-        cols = [str(index), " ".join(name.splitlines()).replace("|", "\\|")]  # one cell, one row
+        cols = [str(index), " ".join(name.splitlines()).replace("\\", "\\\\").replace("|", "\\|")]  # one cell, one row
         cols.extend(cells.get((index, codec), "") for codec in columns[2:])
         lines.append("| " + " | ".join(cols) + " |")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 bad parameters, 3 malformed input
 container.  Output files are written to a temp file and renamed into place so
-a failing command never leaves partial output behind.
+a failing command never leaves partial output behind; they get mode 0o666 & ~umask.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _write_atomic(name: str, data: bytes) -> None:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
+            os.umask(umask := os.umask(0))  # mkstemp makes the file 0600; give it the mode open() would
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

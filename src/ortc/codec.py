@@ -149,7 +149,7 @@ def _mark_bits(arr: np.ndarray, stride: int, min_run: int) -> np.ndarray:
     if need * stride >= n:  # no window fits: links run from stride to n - 1
         return np.zeros(n, dtype=bool)
     w = np.zeros(n, dtype=bool)
-    w[stride:] = arr[stride:] == arr[:-stride]
+    np.equal(arr[stride:], arr[:-stride], out=w[stride:])
     shifts, width = [], 1  # window widths 1, 2, 4, ... topped up to need
     while width < need:
         shifts.append(min(width, need - width) * stride)
@@ -274,8 +274,7 @@ def compress(data: bytes, params: CodecParams | None = None) -> bytes:
     """
     if params is None:
         params = CodecParams()
-    data = bytes(data)
-    current = data
+    current = data = bytes(data)
     for i in range(1, params.passes + 1):
         current = encode_pass(current, i, params.min_run).to_bytes()
     stored = len(current) >= len(data)  # a stored container holds the input and counts no passes

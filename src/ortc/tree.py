@@ -16,8 +16,8 @@ Depth is counted in internal levels over 8-bit blocks: numBlocks =
 ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
 
 Building goes level by level.  The leaf bytes are packbits of the bitmap and
-each level above is packbits of (level below != 0), so the pruned size is
-known before any node is ordered.  In the full tree the levels describe,
+each level above is packbits of the level below, which sets the bit of every
+nonzero byte, so the pruned size is known before any node is ordered.  In the full tree the levels describe,
 only a level's last node can head an incomplete subtree, and it has no
 younger sibling, so child k of the node at full-tree preorder index a on
 level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
@@ -179,7 +179,7 @@ def _levels(bits: np.ndarray) -> tuple[list[np.ndarray], int]:
     when it is zero."""
     levels = [np.packbits(bits) if bits.size else np.zeros(1, dtype=np.uint8)]  # leaf bytes, MSB-first
     while levels[0].size > 1:
-        levels.insert(0, np.packbits(levels[0] != 0))
+        levels.insert(0, np.packbits(levels[0]))
     size = sum(np.count_nonzero(level) for level in levels) + int(levels[0][0] == 0)
     return levels, size
 
@@ -193,14 +193,13 @@ def _preorder(levels: list[np.ndarray]) -> bytes:
         span = (8 ** (depth - level) - 1) // 7  # nodes in a child's complete subtree
         at = (at[:, None] + np.arange(1, 1 + 8 * span, span)).reshape(-1)[: nodes.size]
         full[at] = nodes
-    return levels[0].tobytes() + full[1:][full[1:] != 0].tobytes()  # the root, written even when zero
+    return b"".join((levels[0], full[1:][full[1:] != 0]))  # the root, written even when zero
 
 
 def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     """Build the pruned presence tree for a repeat bitmap."""
-    bits = bitmap.bits
-    levels, _ = _levels(bits)
-    return OrtTree(-(-bits.size // 8), len(levels) - 1, _preorder(levels))
+    levels, _ = _levels(bitmap.bits)
+    return OrtTree(-(-len(bitmap) // 8), len(levels) - 1, _preorder(levels))
 
 
 def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:

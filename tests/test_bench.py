@@ -164,9 +164,16 @@ class TestRenderReport:
         ]
 
     def test_markdown_awkward_names_stay_one_cell_one_row(self):
-        rows = [BenchRow(1, "a|b", "ort", 10, 10, 1.0), BenchRow(2, "x\ny\r\nz", "ort", 10, 10, 1.0)]
+        names = ["a|b", "x\ny\r\nz", "a\\*b", "a\\|b"]
+        rows = [BenchRow(i, name, "ort", 10, 10, 1.0) for i, name in enumerate(names, start=1)]
         lines = render_report(rows, "markdown").splitlines()
-        assert lines[2:] == ["| 1 | a\\|b | 1.000 |", "| 2 | x y z | 1.000 |"]
+        # a backslash is written doubled, so CommonMark shows it rather than reading an escape
+        assert lines[2:] == [
+            "| 1 | a\\|b | 1.000 |",
+            "| 2 | x y z | 1.000 |",
+            "| 3 | a\\\\*b | 1.000 |",
+            "| 4 | a\\\\\\|b | 1.000 |",
+        ]
 
     def test_empty_rows_render_headers_only(self):
         assert render_report([], "csv") == "index,item,codec,uncompressed,compressed,cr\n"

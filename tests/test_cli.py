@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 
@@ -20,14 +22,20 @@ class TestCompressDecompress:
         payload = b"\x00" * 10000 + random.Random(1).randbytes(500)
         src.write_bytes(payload)
 
-        code, out, _ = run(capsys, "compress", str(src), str(packed))
-        assert code == 0
-        assert f"{len(payload)} -> {packed.stat().st_size} bytes" in out
-        assert "ratio" in out
+        umask = os.umask(0o022)
+        try:
+            code, out, _ = run(capsys, "compress", str(src), str(packed))
+            assert code == 0
+            assert f"{len(payload)} -> {packed.stat().st_size} bytes" in out
+            assert "ratio" in out
 
-        code, _, _ = run(capsys, "decompress", str(packed), str(restored))
-        assert code == 0
-        assert restored.read_bytes() == payload
+            code, _, _ = run(capsys, "decompress", str(packed), str(restored))
+            assert code == 0
+            assert restored.read_bytes() == payload
+        finally:
+            os.umask(umask)
+        # the mode open() gives under umask 022, not the temp file's 0600
+        assert stat.S_IMODE(packed.stat().st_mode) == stat.S_IMODE(restored.stat().st_mode) == 0o644
 
     def test_empty_file_ratio_convention(self, tmp_path, capsys):
         src = tmp_path / "empty"

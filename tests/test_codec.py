@@ -595,6 +595,25 @@ class TestCompressDecompress:
                 tracemalloc.stop()
             assert peak <= bound * n, read.__name__
 
+    def test_compress_memory_stays_within_a_few_bytes_per_input_byte(self):
+        # 1 MiB of random bytes with about 2% of positions in runs of 3..8: one
+        # small tree, then stored passes, each marked over the whole input
+        n = 1 << 20
+        rng = np.random.default_rng(23)
+        arr = rng.integers(0, 256, n, dtype=np.uint8)
+        runs = int(0.02 * n / 5.5)
+        for start, length in zip(rng.integers(0, n - 8, runs), rng.integers(3, 9, runs)):
+            arr[start : start + length] = arr[start]
+        data = arr.tobytes()
+        tracemalloc.start()
+        try:
+            blob = compress(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not inspect_container(blob).stored and decompress(blob) == data
+        assert peak <= 3.5 * n
+
     def test_random_data_stores(self):
         data = random.Random(11).randbytes(65536)
         blob = compress(data, CodecParams())
