@@ -1,8 +1,8 @@
 """Command-line interface: compress, decompress, inspect, bench.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad parameters, 3 malformed input
-container.  Output files are written to a temp file and renamed into place so
-a failing command never leaves partial output behind; they get mode 0o666 & ~umask.
+container.  Outputs are written to a temp file, given mode 0o666 & ~umask and
+renamed into place, so a failing command never leaves partial output behind.
 """
 
 from __future__ import annotations

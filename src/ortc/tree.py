@@ -16,13 +16,13 @@ Depth is counted in internal levels over 8-bit blocks: numBlocks =
 ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
 
 Building goes level by level.  The leaf bytes are packbits of the bitmap and
-each level above is packbits of the level below, which sets the bit of every
-nonzero byte, so the pruned size is known before any node is ordered.  In the full tree the levels describe,
-only a level's last node can head an incomplete subtree, and it has no
-younger sibling, so child k of the node at full-tree preorder index a on
+each level above is packbits of the one below (a bit per nonzero byte), so the
+pruned size is known before any node is ordered.  In the full tree the levels
+describe, only a level's last node can head an incomplete subtree, and it has
+no younger sibling, so child k of the node at full-tree preorder index a on
 level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
-writes every slot there, and after the root, always written, one boolean
-gather of the nonzero bytes yields the present nodes in preorder, unsorted.
+writes every slot there; after the root, always written, one boolean gather of
+the nonzero bytes yields the present nodes in preorder, unsorted.
 
 Walking counts heights, the levels below a node: leaves 0, twigs 1, stems 2,
 the root the depth.  The loop pops heights from the root's down to the stems,
