@@ -29,17 +29,26 @@ the root the depth.  The loop pops heights from the root's down to the stems,
 tags each internal node's byte with its height in a bytearray (leaf bytes keep
 0), and steps over a stem's twigs, each directly followed by its
 popcount(mask) leaf bytes, tagging only the twig; a root that is a leaf or a
-twig pushes its leaves, which are stepped over.  After the loop one rule
-rebuilds every level, root first, with the bitmap one more level below the
-leaves: the level at height h covers ceil(N / 8**(h+1)) slots and is one
-boolean scatter of the bytes tagged h (preorder lists a level in slot order)
-where the unpacked level above has presence bits.  Only a level's last node
-can reach past the slots below it, so one test of it bounds each level.
+twig pushes its leaves, which are stepped over.  A node of height h from 3 to 5
+whose byte is 0xFF may head a complete subtree, (8**(h+1) - 1) / 7 bytes with
+every internal byte 0xFF.  If its first and last twig are 0xFF, one compare of
+those bytes, ORed with a mask that is 0xFF at the leaf offsets, tests it; if
+it is complete, one slice assignment writes the height's fixed run of tags and
+the loop steps over it, leaving the tags and position that descending would.
+Each height's run and mask (585, 4,681 and 37,449 bytes each, about 85 KB in
+all) are built on first use and cached; above height 5 the loop descends, so
+the 1 MiB tree's root reaches its four complete height-5 children.  After the
+loop one rule rebuilds every level, root first, with the bitmap one more level
+below the leaves: the level at height h covers ceil(N / 8**(h+1)) slots and is
+one boolean scatter of the bytes tagged h (preorder lists a level in slot
+order) where the unpacked level above has presence bits.  Only a level's last
+node can reach past the slots below it, so one test of it bounds each level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -63,6 +72,10 @@ FANOUT = 8
 # 1 + popcount(byte): the bytes from a twig to the node after it, the twig and
 # its leaves, or one more than an internal node's child count.
 _SKIP = bytes(1 + bin(byte).count("1") for byte in range(256))
+
+# (8**(h+1) - 1) / 7: the bytes of a complete subtree of height h, up to the
+# highest that the walk steps over whole
+_SPAN = tuple((8 ** (height + 1) - 1) // 7 for height in range(6))
 
 
 def parent(r: int) -> int:
@@ -202,6 +215,16 @@ def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     return OrtTree(-(-len(bitmap) // 8), len(levels) - 1, _preorder(levels))
 
 
+@cache
+def _complete(height: int) -> tuple[bytes, np.ndarray]:
+    """The tags of a complete subtree of the given height, in preorder, and a
+    mask of it that is 0xFF at leaf bytes and 0 at internal ones."""
+    run, leaves = b"\x00", b"\xff"
+    for level in range(1, height + 1):
+        run, leaves = bytes((level,)) + run * 8, b"\x00" + leaves * 8
+    return run, np.frombuffer(leaves, dtype=np.uint8)
+
+
 def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     """Read the tree for a `length`-bit bitmap from the front of data.
 
@@ -219,18 +242,30 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     try:
         while stack:
             height = stack.pop()
+            if height == 2:  # a stem: each twig, then its popcount(mask) leaf bytes
+                tags[pos] = 2
+                count = _SKIP[data[pos]] - 1
+                pos += 1
+                for _ in range(count):
+                    tags[pos] = 1
+                    pos += _SKIP[data[pos]]
+                continue
             if not height:  # a leaf, on the stack only when the root is a leaf or a twig
                 pos += 1
                 continue
             tags[pos] = height
-            count = _SKIP[data[pos]] - 1
+            byte = data[pos]
+            if byte == 0xFF and 2 < height < len(_SPAN):  # it may head a complete subtree
+                end = pos + _SPAN[height]
+                # probe its first and its last twig, then compare every internal byte at once
+                if end <= len(tags) and data[pos + height - 1] == 0xFF == data[end - 9]:
+                    run, leaves = _complete(height)
+                    if (np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos) | leaves).min() == 0xFF:
+                        tags[pos:end] = run
+                        pos = end
+                        continue
             pos += 1
-            if height == 2:  # a stem: each twig, then its popcount(mask) leaf bytes
-                for _ in range(count):
-                    tags[pos] = 1
-                    pos += _SKIP[data[pos]]
-            else:
-                stack += [height - 1] * count
+            stack += [height - 1] * (_SKIP[byte] - 1)
     except IndexError:
         pos += 1  # the node byte at pos is missing
     cut = pos > len(data)  # the stream ended early: a level short of nodes raises, unless a bad bit above it does

@@ -10,6 +10,7 @@ from ortc.errors import BadChildOrdinal, BitBeyondLength, ChildOutOfRange, Malfo
 from ortc.tree import (
     OrtTree,
     RepeatBitmap,
+    _complete,
     _levels,
     _walk,
     bitmap_to_tree,
@@ -348,6 +349,33 @@ def assert_rejected_like_oracle(data, n):
     assert type(info.value) is expected
 
 
+def walk_outcome(data, n):
+    """(set positions, bytes consumed) from _walk, or the type and message it raises."""
+    try:
+        bits, consumed = _walk(data, n)
+    except MalformedTree as exc:
+        return type(exc), str(exc)
+    return np.flatnonzero(bits).tolist(), consumed
+
+
+def assert_walk_like_oracle(data, n, one_fault=True):
+    """_walk reads data as bytes and as a view alike, and as naive_parse_tree
+    does: the same positions and count, or a rejection.  With one fault in the
+    data the error is also the kind the oracle's names; with several (a
+    flipped presence bit shifts every node after it) the oracle names the
+    first in preorder and the walk the highest."""
+    outcome = walk_outcome(data, n)
+    assert walk_outcome(memoryview(data), n) == outcome
+    try:
+        expected, consumed = naive_parse_tree(data, n)
+    except ValueError as oracle:
+        assert outcome[0] is (BitBeyondLength if "bit beyond" in str(oracle) else MalformedTree) or (
+            not one_fault and issubclass(outcome[0], MalformedTree)
+        )
+        return
+    assert outcome == (sorted(expected), consumed)
+
+
 class TestWalkDepthBoundaries:
     # the root is a leaf (1 block), a twig (2..8), a stem (9..64), or above a stem
     @pytest.mark.parametrize("num_blocks", [1, 8, 9, 64, 65, 512, 513])
@@ -413,12 +441,122 @@ class TestWalkDepthBoundaries:
             assert_rejected_like_oracle(data[: stem + 1], n)
 
 
+class TestCompleteSubtrees:
+    """Trees with complete subtrees of height 3 to 5, each of which the walk
+    steps over after one compare, against the oracle."""
+
+    # (height, bits): one complete subtree as the root, three under the root, and
+    # a partial tail of 43 bits (6 blocks) under the root's last child
+    WHOLE = [(3, 8**4), (3, 3 * 8**4), (4, 8**5), (4, 3 * 8**5), (5, 8**6)]
+    PARTIAL = [(3, 8**4 + 43), (3, 3 * 8**4 + 43), (4, 3 * 8**5 + 43), (5, 8**6 + 43)]
+
+    def complete_tree(self, height, n):
+        """Every bit of n set, where the tree's first complete subtree of the
+        height starts and its size, checked against node_levels."""
+        data = bitmap_to_tree(RepeatBitmap(np.ones(n, dtype=bool))).nodes
+        depth = tree_depth(ceil_div(n, 8))
+        start, size = depth - height, (8 ** (height + 1) - 1) // 7
+        levels = node_levels(data, n)
+        assert levels[start] == depth - height
+        assert min(levels[start + 1 : start + size]) > levels[start]
+        assert start + size == len(data) or levels[start + size] <= levels[start]  # the subtree ends there
+        # the probed bytes: its first twig and its last, which its last 8 leaves follow
+        assert levels[start + height - 1] == levels[start + size - 9] == depth - 1
+        return data, start, size, levels
+
+    @pytest.mark.parametrize("height, n", WHOLE + PARTIAL)
+    def test_decodes_as_the_oracle(self, height, n):
+        data = self.complete_tree(height, n)[0]
+        assert_walk_like_oracle(data, n)
+        assert walk_outcome(data, n) == (list(range(n)), len(data))
+
+    @pytest.mark.parametrize("height, n", WHOLE + PARTIAL)
+    def test_flipped_internal_bit(self, height, n):
+        data, start, size, levels = self.complete_tree(height, n)
+        depth = levels[start] + height
+        rng = random.Random(n)
+        internal = [i for i in range(start, start + size) if levels[i] < depth]
+        # the subtree's root, its first twig and its last twig (the probed bytes), and two more
+        flips = [(start, 0x80), (start, 0x01), (start + height - 1, 0x80), (start + size - 9, 0x01)]
+        flips += [(i, 0x80 >> rng.randrange(8)) for i in rng.sample(internal, 2)]
+        for byte, bit in flips:
+            bad = bytearray(data)
+            bad[byte] ^= bit
+            assert_walk_like_oracle(bytes(bad), n, one_fault=False)
+
+    @pytest.mark.parametrize("height, n", WHOLE + PARTIAL)
+    def test_leaf_bytes_of_zero_and_ff_still_decode(self, height, n):
+        data, start, size, levels = self.complete_tree(height, n)
+        depth = levels[start] + height
+        leaves = [i for i in range(start, start + size) if levels[i] == depth]
+        for value in (0x00, 0xFF):
+            for every in (1, 7):
+                changed = bytearray(data)
+                for i in leaves[::every]:
+                    changed[i] = value
+                assert_walk_like_oracle(bytes(changed), n)
+                positions = [8 * j + k for j, byte in enumerate(leaves) for k in range(8) if changed[byte] & 0x80 >> k]
+                got = walk_outcome(bytes(changed), n)[0]
+                assert [p for p in got if p < 8 * len(leaves)] == positions
+
+    @pytest.mark.parametrize("height, n", WHOLE + PARTIAL)
+    def test_stream_cut_inside_and_at_the_end_of_a_complete_subtree(self, height, n):
+        data, start, size, _ = self.complete_tree(height, n)
+        for end in (start + 1, start + height - 1, start + size // 2, start + size - 9, start + size - 1):
+            assert walk_outcome(data[:end], n) == (MalformedTree, f"node stream truncated at byte {end}")
+            assert_walk_like_oracle(data[:end], n)
+        assert_walk_like_oracle(data[: start + size], n)  # whole when the subtree is the root, else cut
+
+    @pytest.mark.parametrize("height, n", WHOLE + PARTIAL)
+    def test_appended_bytes_are_left(self, height, n):
+        data = self.complete_tree(height, n)[0]
+        for tail in (b"\x00", b"\xff" * 9, bytes(range(256)) * 200):
+            assert_walk_like_oracle(data + tail, n)
+            assert walk_outcome(data + tail, n) == (list(range(n)), len(data))
+
+    @pytest.mark.parametrize("height, n", PARTIAL)
+    def test_complete_last_node_holds_a_bit_past_the_slots_below(self, height, n):
+        # the root's last child, over 6 blocks, made a complete subtree
+        data, start, size, _ = self.complete_tree(height, n)
+        whole = n // 8 ** (height + 1)  # complete children before it
+        node = start + whole * size
+        slot = 8 * whole + 1  # the slots one level below the child cover its 6 blocks with one
+        bad = data[:node] + b"\xff" * size
+        assert_walk_like_oracle(bad, n, one_fault=False)  # its leaves also hold bits past the length
+        message = f"node at byte {node}: presence bit for child slot {slot} past {slot} slots"
+        assert walk_outcome(bad, n) == (MalformedTree, message)
+        assert walk_outcome(bad + b"\xff" * 9, n) == (MalformedTree, message)
+
+
+class CountingBytes(bytes):
+    """bytes that count how many of them are read one at a time."""
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.reads += 1
+        return super().__getitem__(index)
+
+
+# (bits, reads): a complete subtree of height 3, 4 or 5 as the root, and four of height 5
+# under the root of 2**20 bits; the loop alone reads each stem and twig, 73 to 18,725 bytes
+@pytest.mark.parametrize("n, most", [(8**4, 10), (8**5, 10), (8**6, 10), (2**20, 100)])
+@pytest.mark.parametrize("leaf", [0xFF, 0x7F])
+def test_walk_steps_over_complete_subtrees_without_reading_each_node(n, most, leaf):
+    expected = np.unpackbits(np.full(n // 8, leaf, dtype=np.uint8)).view(bool)
+    data = CountingBytes(bitmap_to_tree(RepeatBitmap(expected)).nodes)
+    data.reads = 0
+    bits, consumed = _walk(data, n)
+    assert np.array_equal(bits, expected) and consumed == len(data)
+    assert data.reads < most
+
+
 @pytest.mark.parametrize("stride", [1, 2, 7])
 def test_walk_memory_stays_within_two_bytes_per_input_byte(stride):
     # 1 MiB of zeros: every byte past the first stride repeats
     n = 1 << 20
     nodes = bitmap_to_tree(RepeatBitmap.from_positions(range(stride, n), n)).nodes
     for data in (nodes, nodes + bytes(2 * n)):  # bytes after the tree cost no memory
+        _complete.cache_clear()  # the peak includes building the complete subtrees' tags and masks
         tracemalloc.start()
         try:
             bits, consumed = _walk(data, n)
@@ -476,13 +614,7 @@ class TestParseDifferential:
                 flipped[bit // 8] ^= 0x80 >> bit % 8
                 cases.append(bytes(flipped))
             for case in cases:
-                try:
-                    expected, consumed = naive_parse_tree(case, n)
-                except ValueError:
-                    assert_rejected_like_oracle(case, n)
-                    continue
-                bits, got = _walk(case, n)
-                assert (sorted(expected), consumed) == (np.flatnonzero(bits).tolist(), got)
+                assert_walk_like_oracle(case, n)
 
 
 class TestStructuralInvariants:
