@@ -22,9 +22,10 @@ The tree carries no length field; it is self-delimiting given the frame's
 input length.  A stored container has no passes, so its payload is the raw
 input and compressed size never exceeds the input by more than the 16-byte
 container header.
-PassFrame owns the frame rules and the readers build one from every header,
-so a bad field raises MalformedFrame (also a ValueError) from one place;
-parse_frame, like the container, reads a frame from the start of its buffer.
+PassFrame owns the frame rules, and parse_frame, the one frame reader, builds
+one from every header, so a bad field raises MalformedFrame (also a ValueError)
+from one place.  Frames nest, so each fills its buffer and its tree is the rest
+of it; decode_pass walks the tree and rejects any fault in it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import numbers
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,11 +189,15 @@ def decode_pass(frame: PassFrame) -> memoryview:
     if frame.mode == FrameMode.STORED:
         return memoryview(frame.kept).toreadonly()
 
-    n = frame.input_len
-    bits, consumed = _read_tree(frame.tree, n, len(frame.kept))
-    if consumed != len(frame.tree):
-        trailing = len(frame.tree) - consumed
-        raise MalformedFrame(f"bad position tree: {trailing} bytes after the tree's end at byte {consumed}")
+    n, tree = frame.input_len, frame.tree
+    if n > len(frame.kept) + 8 * len(tree):  # each repeat needs a leaf bit: checked before the bitmap is allocated
+        raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
+    try:
+        bits, consumed = _walk(tree, n)
+    except MalformedTree as exc:
+        raise MalformedFrame(f"bad position tree: {exc}") from exc
+    if consumed != len(tree):
+        raise MalformedFrame(f"bad position tree: {len(tree) - consumed} bytes after the tree's end at byte {consumed}")
 
     stride = frame.stride
     if bool(bits[:stride].any()):
@@ -236,34 +241,21 @@ def decode_pass(frame: PassFrame) -> memoryview:
     return memoryview(out.reshape(-1)[:n]).toreadonly()
 
 
-def _read_tree(buf, n: int, kept_len: int) -> tuple[np.ndarray, int]:
-    """Walk the position tree at the start of buf; returns the bitmap and the tree's length."""
-    if n > kept_len + 8 * len(buf):  # each repeat needs a leaf bit: checked before the bitmap is allocated
-        raise MalformedFrame(f"input length {n} unreachable from kept stream and tree")
-    try:
-        return _walk(buf, n)
-    except MalformedTree as exc:
-        raise MalformedFrame(f"bad position tree: {exc}") from exc
+def parse_frame(data: bytes) -> tuple[PassFrame, int]:
+    """Read the frame that fills data, checking its header and kept stream; returns it and len(data).
 
-
-def _read_frame_header(view: memoryview) -> tuple[int, int, int, memoryview, int]:
-    """Unpack the frame header at the start of view: mode byte, stride, input length, kept stream, end offset."""
+    Frames nest, so the tree is the rest of data; the kept stream and tree are views of it.
+    The tree is not walked here: decode_pass rejects its faults, bytes after its end among them.
+    The second value is always len(data), kept for callers that unpack two.
+    """
+    view = memoryview(data)
     if len(view) < FRAME_OVERHEAD:
         raise MalformedFrame("truncated frame header at byte 0")
     mode, stride, input_len, kept_len = _FRAME_HDR.unpack_from(view)
     end = FRAME_OVERHEAD + kept_len
     if len(view) < end:
         raise MalformedFrame(f"truncated kept stream at byte {FRAME_OVERHEAD}: {kept_len} bytes declared")
-    return mode, stride, input_len, view[FRAME_OVERHEAD:end], end
-
-
-def parse_frame(data: bytes) -> tuple[PassFrame, int]:
-    """Parse the frame at the start of data; returns the frame and its end offset."""
-    view = memoryview(data)
-    mode, stride, input_len, kept, end = _read_frame_header(view)
-    frame = PassFrame(mode, stride, input_len, bytes(kept), b"")  # the fields are checked before the tree is walked
-    tree_len = _read_tree(view[end:], input_len, len(kept))[1] if frame.mode == FrameMode.ORT else 0
-    return replace(frame, tree=bytes(view[end : end + tree_len])), end + tree_len
+    return PassFrame(mode, stride, input_len, view[FRAME_OVERHEAD:end], view[end:]), len(view)
 
 
 def compress(data: bytes, params: CodecParams | None = None) -> bytes:
@@ -309,8 +301,8 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
 
     Returns the ContainerInfo, which lists one FrameInfo per pass, innermost first, only
     when a list is given to collect them, and the decoded data as decode_pass's read-only view.
-    Every frame fills its buffer, so the tree is the rest of it.  Kept streams and trees are
-    views of that buffer, so no pass copies: decompress makes the one copy, inspect_container none.
+    parse_frame reads each pass, so kept streams and trees are views of the buffer the pass
+    before gave, and no pass copies: decompress makes the one copy, inspect_container none.
     """
     if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BadMagic("not a repeat-tree container")
@@ -326,16 +318,14 @@ def _decode_container(blob: bytes, frames: list[FrameInfo] | None = None) -> tup
     buf = memoryview(blob)[CONTAINER_OVERHEAD:]
     for k in range(pass_count, 0, -1):
         try:
-            mode, stride, input_len, kept, offset = _read_frame_header(buf)
+            frame = parse_frame(buf)[0]
+            n = frame.input_len
             # each pass grows its input by at most one frame header
             limit = orig_len + FRAME_OVERHEAD * (k - 1)
-            if input_len > limit:
-                raise LengthMismatch(
-                    f"pass {k} claims {input_len} input bytes, header's length {orig_len} allows {limit}"
-                )
-            frame = PassFrame(mode, stride, input_len, kept, buf[offset:])
+            if n > limit:
+                raise LengthMismatch(f"pass {k} claims {n} input bytes, header's length {orig_len} allows {limit}")
             if frames is not None:
-                frames.append(FrameInfo(k, frame.mode, stride, input_len, len(kept), len(frame.tree)))
+                frames.append(FrameInfo(k, frame.mode, frame.stride, n, frame.kept_len, len(frame.tree)))
             buf = decode_pass(frame)
         except MalformedFrame as exc:
             raise MalformedFrame(f"pass {k}: {exc}") from exc

@@ -85,7 +85,8 @@ def naive_tree_bytes(positions, n_bits):
 
 
 def naive_parse_tree(data, n_bits):
-    """Returns (set of bit positions, bytes consumed); None on malformed input."""
+    """Returns (set of bit positions, bytes consumed); raises ValueError on malformed input
+    ("truncated", "bit beyond length" or "child beyond blocks")."""
     num_blocks = ceil_div(n_bits, 8)
     depth = naive_depth(num_blocks) if num_blocks > 1 else 0
     positions = set()

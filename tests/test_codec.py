@@ -11,6 +11,7 @@ from ortc.codec import (
     CONTAINER_OVERHEAD,
     FRAME_OVERHEAD,
     CodecParams,
+    FrameInfo,
     FrameMode,
     PassFrame,
     compress,
@@ -323,9 +324,9 @@ class TestDecodePass:
             decode_pass(at_bound)
         assert parse_frame(at_bound.to_bytes()) == (at_bound, FRAME_OVERHEAD + 2)
         past = PassFrame(FrameMode.ORT, 1, 10, b"\xaa", b"\x00")
-        for read in (lambda: decode_pass(past), lambda: parse_frame(past.to_bytes())):
-            with pytest.raises(MalformedFrame, match="^input length 10 unreachable from kept stream and tree$"):
-                read()
+        with pytest.raises(MalformedFrame, match="^input length 10 unreachable from kept stream and tree$"):
+            decode_pass(past)
+        assert parse_frame(past.to_bytes()) == (past, FRAME_OVERHEAD + 2)  # the reader walks no tree
 
     def test_stored_frame_roundtrip(self):
         frame = PassFrame(FrameMode.STORED, 5, 4, b"abcd", b"")
@@ -434,32 +435,54 @@ class TestParseFrame:
 
     def test_rejects_truncations(self):
         good = encode_pass(b"\xaa" * 16, 1, 3).to_bytes()
-        for cut in (0, 5, FRAME_OVERHEAD - 1, len(good) - 1):
+        for cut in (0, 5, FRAME_OVERHEAD - 1):
             with pytest.raises(MalformedFrame):
                 parse_frame(good[:cut])
+        # the tree is the rest of the buffer, so a cut inside it is found by the walk
+        frame, end = parse_frame(good[:-1])
+        assert end == len(good) - 1
+        with pytest.raises(MalformedFrame, match="^bad position tree: node stream truncated at byte 2$"):
+            decode_pass(frame)
 
-    def test_unreachable_input_length_rejected_cheaply(self):
-        # the tree walk allocates a bitmap of the claimed input length
-        blob = struct.pack("<BBQQ", 1, 1, 2**60, 1) + b"\xaa\x00"
-        with pytest.raises(MalformedFrame, match="unreachable"):
-            parse_frame(blob)
+    def test_unreachable_input_length_rejected_cheaply(self, monkeypatch):
+        # the tree walk allocates a bitmap of the claimed input length; the reader never walks
+        import ortc.codec
 
-    def test_offset_and_trailing(self):
-        good = encode_pass(b"\xaa" * 16, 1, 3).to_bytes()
-        frame, end = parse_frame(good + b"xyz")
-        assert end == len(good)
-        assert decode_pass(frame) == b"\xaa" * 16
+        def no_walk(data, length):
+            raise AssertionError("parse_frame walked the tree")
 
-    def test_frames_in_sequence_are_read_through_slices(self):
-        # a frame's end offset counts from the start of the slice it was read from
-        inputs = [b"\xaa" * 16, bytes(range(40)), b"ab" * 30]
-        blob = b"".join(encode_pass(data, 2, 3).to_bytes() for data in inputs)
-        view, decoded = memoryview(blob), []
-        while view:
-            frame, end = parse_frame(view)
-            decoded.append(decode_pass(frame))
-            view = view[end:]
-        assert decoded == inputs
+        monkeypatch.setattr(ortc.codec, "_walk", no_walk)
+        frame, _ = parse_frame(struct.pack("<BBQQ", 1, 1, 2**60, 1) + b"\xaa\x00")
+        monkeypatch.undo()
+        with pytest.raises(MalformedFrame, match=f"^input length {2**60} unreachable from kept stream and tree$"):
+            decode_pass(frame)
+
+    def test_trailing_bytes_rejected(self):
+        # a frame fills its buffer: bytes after a coded frame's tree fail the walk, after a stored frame the fields
+        coded = encode_pass(b"\xaa" * 16, 1, 3).to_bytes()
+        frame, end = parse_frame(coded + b"xyz")
+        assert end == len(coded) + 3 and bytes(frame.tree) == coded[FRAME_OVERHEAD + 1 :] + b"xyz"
+        with pytest.raises(MalformedFrame, match="^bad position tree: 3 bytes after the tree's end at byte 3$"):
+            decode_pass(frame)
+        stored = encode_pass(bytes(range(16)), 1, 3)
+        assert stored.mode is FrameMode.STORED
+        with pytest.raises(MalformedFrame, match="^stored frame of 16 input bytes holds 16 kept and 3 tree bytes$"):
+            parse_frame(stored.to_bytes() + b"xyz")
+
+    def test_container_passes_read_outermost_first(self):
+        # the way a pass-by-pass reader undoes a container: each pass's output is the next frame's buffer
+        data = bytes(range(256)) + b"\x00" * 64  # passes 1 and 2 coded, pass 3 stored
+        blob = compress(data, CodecParams(passes=3))
+        info = inspect_container(blob)
+        assert {f.mode for f in info.frames} == {FrameMode.ORT, FrameMode.STORED}
+        buf, frames = memoryview(blob)[CONTAINER_OVERHEAD:], []
+        for k in range(info.pass_count, 0, -1):
+            frame, end = parse_frame(buf)
+            assert end == len(buf)
+            frames.append(FrameInfo(k, frame.mode, frame.stride, frame.input_len, frame.kept_len, len(frame.tree)))
+            buf = decode_pass(frame)
+        assert buf == data
+        assert tuple(reversed(frames)) == info.frames
 
     @pytest.mark.parametrize(
         "frame, message",
@@ -782,6 +805,22 @@ class TestDecompressErrors:
         for reader in (decompress, inspect_container):
             with pytest.raises(LengthMismatch, match="^pass 3 claims 136 input bytes, header's length 99 allows 135$"):
                 reader(short)
+
+    @pytest.mark.parametrize("reader", [decompress, inspect_container])
+    def test_bad_field_is_named_before_an_over_long_claim(self, reader, monkeypatch):
+        # pass 3 holds an unknown mode and claims 136 input bytes where 135 are allowed: the reader
+        # checks the fields first, so the field is named, and neither fault reaches decode_pass
+        current = random.Random(100).randbytes(100)
+        for k in (1, 2, 3):
+            current = PassFrame(FrameMode.STORED, k, len(current), current, b"").to_bytes()
+        blob = struct.pack("<4sBBBBQ", b"ORTC", 1, 0, 3, 3, 99) + b"\x05" + current[1:]
+
+        def no_decode(frame):
+            raise AssertionError("decode_pass ran on a frame with a bad field")
+
+        monkeypatch.setattr("ortc.codec.decode_pass", no_decode)
+        with pytest.raises(MalformedFrame, match="^pass 3: unknown frame mode 0x05$"):
+            reader(blob)
 
     def test_corruption_never_escapes_error_hierarchy(self):
         from ortc.errors import OrtcError
