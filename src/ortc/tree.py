@@ -43,13 +43,17 @@ below the leaves: the level at height h covers ceil(N / 8**(h+1)) slots and is
 one boolean scatter of the bytes tagged h (preorder lists a level in slot
 order) where the unpacked level above has presence bits.  Only a level's last
 node can reach past the slots below it, so one test of it bounds each level.
+
+The codec calls _levels, _preorder and _walk on arrays.  RepeatBitmap (the
+bool array, not copied), OrtTree (the node bytes) and bitmap_to_tree,
+tree_to_bitmap, serialize_tree and parse_tree are thin shims over them, kept
+for the benchmark's layer replay and the acceptance suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
 
 import numpy as np
 
@@ -111,75 +115,26 @@ def tree_depth(num_blocks: int) -> int:
 
 
 class RepeatBitmap:
-    """One bit per input position; a set bit marks a byte dropped as a repeat.
+    """One bit per input position, set where the byte repeats the byte one
+    stride earlier and was dropped from the kept stream; holds the bool array
+    it is given, not a copy."""
 
-    Wraps an immutable boolean array.  Position p set means the input byte at
-    p equals the byte one stride earlier and was elided from the kept stream.
-    """
+    __slots__ = ("bits",)
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: Iterable[bool] | np.ndarray):
-        arr = np.array(bits, dtype=bool, copy=True)
-        if arr.ndim != 1:
+    def __init__(self, bits: np.ndarray):
+        if bits.ndim != 1:
             raise ValueError("bitmap must be one-dimensional")
-        arr.setflags(write=False)
-        self._bits = arr
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int], length: int) -> "RepeatBitmap":
-        arr = np.zeros(length, dtype=bool)
-        pos = np.fromiter(positions, dtype=np.int64)
-        if pos.size:
-            if pos.min() < 0 or pos.max() >= length:
-                raise ValueError("position outside bitmap length")
-            arr[pos] = True
-        return cls(arr)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self._bits
-
-    def __len__(self) -> int:
-        return self._bits.size
-
-    @property
-    def count(self) -> int:
-        """Number of set bits."""
-        return int(self._bits.sum())
+        self.bits = bits
 
     def positions(self) -> list[int]:
-        return [int(p) for p in np.flatnonzero(self._bits)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RepeatBitmap):
-            return NotImplemented
-        return self._bits.size == other._bits.size and bool(np.array_equal(self._bits, other._bits))
-
-    def __repr__(self) -> str:
-        return f"RepeatBitmap(length={len(self)}, set={self.positions()!r})"
+        return np.flatnonzero(self.bits).tolist()
 
 
 @dataclass(frozen=True)
 class OrtTree:
-    """Pruned repetition tree in its serialized (preorder) node layout.
+    """Pruned repetition tree: its present node bytes, depth-first preorder."""
 
-    num_blocks: ceil(N/8) leaf blocks the tree spans (0 for an empty bitmap).
-    depth: internal levels above the leaves.
-    nodes: one byte per present node, depth-first preorder.
-    """
-
-    num_blocks: int
-    depth: int
     nodes: bytes
-
-    def __post_init__(self) -> None:
-        if self.num_blocks < 0:
-            raise ValueError("num_blocks must be non-negative")
-        if self.depth != tree_depth(self.num_blocks):
-            raise ValueError(f"depth {self.depth} wrong for {self.num_blocks} blocks")
-        if not self.nodes:
-            raise ValueError("a tree serializes to at least its root byte")
 
     @property
     def node_count(self) -> int:
@@ -211,8 +166,7 @@ def _preorder(levels: list[np.ndarray]) -> bytes:
 
 def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:
     """Build the pruned presence tree for a repeat bitmap."""
-    levels, _ = _levels(bitmap.bits)
-    return OrtTree(-(-len(bitmap) // 8), len(levels) - 1, _preorder(levels))
+    return OrtTree(_preorder(_levels(bitmap.bits)[0]))
 
 
 @cache
@@ -294,11 +248,9 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
 
 
 def tree_to_bitmap(tree: OrtTree, length: int) -> RepeatBitmap:
-    """Invert bitmap_to_tree for a bitmap of the given length."""
-    bits, consumed = _walk(tree.nodes, length)  # first, so a negative length raises ValueError
-    num_blocks = -(-length // 8)
-    if tree.num_blocks != num_blocks:
-        raise MalformedTree(f"tree spans {tree.num_blocks} blocks, length {length} needs {num_blocks}")
+    """Invert bitmap_to_tree for a bitmap of the given length.  Raises what
+    the walk raises, and MalformedTree when node bytes follow the tree."""
+    bits, consumed = _walk(tree.nodes, length)
     if consumed != len(tree.nodes):
         raise MalformedTree(f"{len(tree.nodes) - consumed} trailing node bytes after byte {consumed}")
     return RepeatBitmap(bits)
@@ -315,6 +267,5 @@ def parse_tree(data: bytes, length: int) -> tuple[OrtTree, int]:
     The tree is self-delimiting given the length; trailing bytes are left for
     the caller.  Returns the tree and the number of bytes consumed.
     """
-    num_blocks = -(-length // 8)
     _, consumed = _walk(data, length)
-    return OrtTree(num_blocks, tree_depth(num_blocks), bytes(data[:consumed])), consumed
+    return OrtTree(bytes(data[:consumed])), consumed

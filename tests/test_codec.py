@@ -30,7 +30,7 @@ from ortc.errors import (
     TooManyPasses,
     UnsupportedVersion,
 )
-from ortc.tree import RepeatBitmap, bitmap_to_tree
+from ortc.tree import _levels, _preorder
 
 from oracles import naive_compress, naive_decode_frame, naive_decompress, naive_mark
 
@@ -60,13 +60,13 @@ class TestMarkEqualities:
 
     def test_all_distinct(self):
         for stride in (1, 2, 5):
-            assert mark_equalities(bytes(range(100)), stride, 1).count == 0
+            assert not mark_equalities(bytes(range(100)), stride, 1).bits.any()
 
     def test_stride_two_interleave(self):
         assert mark_equalities(b"ABABABAB", 2, 3).positions() == [2, 3, 4, 5, 6, 7]
 
     def test_min_run_boundary(self):
-        assert mark_equalities(b"aa", 1, 3).count == 0
+        assert not mark_equalities(b"aa", 1, 3).bits.any()
         assert mark_equalities(b"aaa", 1, 3).positions() == [1, 2]
         assert mark_equalities(b"aa", 1, 2).positions() == [1]
 
@@ -81,7 +81,7 @@ class TestMarkEqualities:
         data = b"".join(bytes([rng.randrange(4)]) * rng.randrange(1, 9) for _ in range(300))
         for stride in (1, 2, 3):
             kept_sizes = [
-                len(data) - mark_equalities(data, stride, m).count for m in (1, 2, 3, 4, 9)
+                len(data) - np.count_nonzero(mark_equalities(data, stride, m).bits) for m in (1, 2, 3, 4, 9)
             ]
             assert kept_sizes == sorted(kept_sizes)
 
@@ -198,7 +198,7 @@ class TestEncodePass:
         monkeypatch.setattr(ortc.codec, "_preorder", fail)
         data = bytes(random.Random(3).randbytes(4096))
         # min_run 2 marks a few isolated repeats, so the tree is not empty
-        assert mark_equalities(data, 2, 2).count > 0
+        assert mark_equalities(data, 2, 2).bits.any()
         frame = encode_pass(data, 2, 2)
         assert frame.mode == FrameMode.STORED
         assert frame.kept == data
@@ -239,7 +239,7 @@ class TestEncodePass:
         data = b"".join(bytes([v]) * n for v, n in runs)
         frame = encode_pass(data, 1, 3)
         marks = mark_equalities(data, 1, 3)
-        assert marks.count == sum(n - 1 for _, n in runs if n >= 3)
+        assert np.count_nonzero(marks.bits) == sum(n - 1 for _, n in runs if n >= 3)
         assert frame.kept == bytes([5, 9, 2, 9, 0])
 
 
@@ -351,7 +351,9 @@ class TestDecodePass:
         """Decode a frame with repeats at positions against the oracle, and
         reject its kept stream one byte short and one byte long."""
         kept = rng.randbytes(n - len(positions))
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+        bits = np.zeros(n, dtype=bool)
+        bits[list(positions)] = True
+        tree = _preorder(_levels(bits)[0])
         frame = PassFrame(FrameMode.ORT, stride, n, kept, tree)
         assert decode_pass(frame) == naive_decode_frame(frame.to_bytes())
         if not positions:
@@ -411,7 +413,7 @@ class TestDecodePass:
         bits = np.ones(n, dtype=bool)
         bits[kept_at] = False
         kept = rng.integers(0, 256, n // 8, dtype=np.uint8).tobytes()
-        frame = PassFrame(FrameMode.ORT, 1, n, kept, bitmap_to_tree(RepeatBitmap(bits)).nodes)
+        frame = PassFrame(FrameMode.ORT, 1, n, kept, _preorder(_levels(bits)[0]))
         tracemalloc.start()
         try:
             out = decode_pass(frame)

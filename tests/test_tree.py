@@ -12,12 +12,11 @@ from ortc.tree import (
     RepeatBitmap,
     _complete,
     _levels,
+    _preorder,
     _walk,
-    bitmap_to_tree,
     kth_child,
     parent,
     parse_tree,
-    serialize_tree,
     tree_depth,
     tree_to_bitmap,
 )
@@ -26,6 +25,25 @@ from oracles import ceil_div, classify_nodes, naive_depth, naive_parse_tree, nai
 
 FIG2_POSITIONS = [4, 5, 8, 14, 15, 52, 53, 54]
 FIG2_TREE = bytes.fromhex("c20c830e")
+
+
+def bitmap(positions, n):
+    """n bits, set at the given positions."""
+    bits = np.zeros(n, dtype=bool)
+    bits[np.fromiter(positions, dtype=np.intp)] = True
+    return bits
+
+
+def tree_bytes(bits):
+    """The node bytes the codec writes for bits."""
+    return _preorder(_levels(bits)[0])
+
+
+def assert_walks_back(bits):
+    """_walk reads the codec's tree for bits back to bits, consuming all of it."""
+    nodes = tree_bytes(bits)
+    walked, consumed = _walk(nodes, bits.size)
+    assert np.array_equal(walked, bits) and consumed == len(nodes)
 
 
 class TestNodeAlgebra:
@@ -95,83 +113,48 @@ class TestTreeDepth:
 
 
 class TestRepeatBitmap:
-    def test_from_positions(self):
-        bm = RepeatBitmap.from_positions([1, 3], 4)
-        assert len(bm) == 4
+    def test_positions(self):
+        bits = bitmap([1, 3], 4)
+        bm = RepeatBitmap(bits)
         assert bm.positions() == [1, 3]
-        assert bm.count == 2
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            RepeatBitmap.from_positions([4], 4)
-
-    def test_equality(self):
-        assert RepeatBitmap.from_positions([2], 8) == RepeatBitmap.from_positions([2], 8)
-        assert RepeatBitmap.from_positions([2], 8) != RepeatBitmap.from_positions([2], 9)
-        bm = RepeatBitmap.from_positions([2], 8)
-        assert bm.__eq__(bm.positions()) is NotImplemented and bm != bm.positions()
-        assert repr(bm) == "RepeatBitmap(length=8, set=[2])"
-
-    def test_immutable(self):
-        bm = RepeatBitmap.from_positions([0], 3)
-        with pytest.raises(ValueError):
-            bm.bits[1] = True
+        assert bm.bits is bits
 
     def test_rejects_two_dimensions(self):
         with pytest.raises(ValueError, match="^bitmap must be one-dimensional$"):
             RepeatBitmap(np.zeros((2, 4), dtype=bool))
 
 
-class TestOrtTree:
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ((-1, 0, b"\x00"), "^num_blocks must be non-negative$"),
-            ((8, 2, b"\x00"), "^depth 2 wrong for 8 blocks$"),
-            ((8, 1, b""), "^a tree serializes to at least its root byte$"),
-        ],
-        ids=["negative-blocks", "wrong-depth", "no-nodes"],
-    )
-    def test_rejects_bad_fields(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            OrtTree(*fields)
-
-
 class TestBitmapToTree:
     def test_two_level_fixture(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(FIG2_POSITIONS, 64))
-        assert tree.num_blocks == 8
-        assert tree.depth == 1
-        assert tree.nodes == FIG2_TREE
+        levels, _ = _levels(bitmap(FIG2_POSITIONS, 64))
+        assert levels[-1].size == 8  # leaf blocks
+        assert len(levels) - 1 == 1  # internal levels
+        assert _preorder(levels) == FIG2_TREE
 
     def test_all_zero_keeps_root(self):
-        bm = RepeatBitmap.from_positions([], 64)
-        tree = bitmap_to_tree(bm)
-        assert tree.nodes == b"\x00"
-        assert tree.node_count == 1
-        assert _levels(bm.bits)[1] == 1
+        levels, size = _levels(bitmap([], 64))
+        assert _preorder(levels) == b"\x00"
+        assert size == 1
 
     def test_constant_run_fixture(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(range(1, 16), 16))
-        assert tree.nodes == bytes.fromhex("c07fff")
+        assert tree_bytes(bitmap(range(1, 16), 16)) == bytes.fromhex("c07fff")
 
     def test_single_block_has_no_internal_node(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions([2, 3], 8))
-        assert tree.depth == 0
-        assert tree.nodes == bytes([0b00110000])
+        levels, _ = _levels(bitmap([2, 3], 8))
+        assert len(levels) - 1 == 0
+        assert _preorder(levels) == bytes([0b00110000])
 
     def test_empty_bitmap(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions([], 0))
-        assert tree.num_blocks == 0
-        assert tree.nodes == b"\x00"
+        levels, _ = _levels(bitmap([], 0))
+        assert len(levels) - 1 == 0
+        assert _preorder(levels) == b"\x00"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_recursive_oracle(self, seed):
         rng = random.Random(seed)
         n = rng.randrange(0, 3000)
         positions = {p for p in range(n) if rng.random() < rng.choice([0.02, 0.3, 0.9])}
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
-        assert tree.nodes == naive_tree_bytes(positions, n)
+        assert tree_bytes(bitmap(positions, n)) == naive_tree_bytes(positions, n)
 
     # one block short of, at and past each depth boundary 8**k
     @pytest.mark.parametrize("num_blocks", [8**k + d for k in range(1, 5) for d in (-1, 0, 1)])
@@ -180,12 +163,13 @@ class TestBitmapToTree:
         rng = random.Random(num_blocks)
         n = 8 * num_blocks - 5  # a partial last block
         positions = {p for p in range(n) if rng.random() < density}
-        bm = RepeatBitmap.from_positions(positions, n)
-        tree = bitmap_to_tree(bm)
-        assert tree.depth == naive_depth(num_blocks)
-        assert tree.nodes == naive_tree_bytes(positions, n)
-        assert _levels(bm.bits)[1] == tree.node_count  # the size known before the preorder
-        assert tree_to_bitmap(tree, n) == bm
+        bits = bitmap(positions, n)
+        levels, size = _levels(bits)
+        assert len(levels) - 1 == naive_depth(num_blocks)
+        nodes = _preorder(levels)
+        assert nodes == naive_tree_bytes(positions, n)
+        assert size == len(nodes)  # the size known before the preorder
+        assert_walks_back(bits)
 
     def test_matches_recursive_oracle_for_every_block_count_to_600(self):
         # every right-edge shape up to depth 3, and the first ones at depth 4
@@ -193,8 +177,7 @@ class TestBitmapToTree:
         for num_blocks in range(1, 601):
             n = 8 * num_blocks - num_blocks % 8  # the last block full or partial
             for positions in (set(range(n)), {p for p in range(n) if rng.random() < 0.3}, {n - 1}):
-                tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
-                assert tree.nodes == naive_tree_bytes(positions, n), (num_blocks, len(positions))
+                assert tree_bytes(bitmap(positions, n)) == naive_tree_bytes(positions, n), (num_blocks, len(positions))
 
 
 class TestRoundTrips:
@@ -203,27 +186,22 @@ class TestRoundTrips:
     def test_bitmap_tree_bitmap(self, n, seed):
         rnd = random.Random(seed)  # a seed, as drawing each bit through hypothesis is slow
         density = rnd.choice([0.0, 0.01, 0.2, 0.5, 0.95])
-        bits = np.array([rnd.random() < density for _ in range(n)], dtype=bool)
-        bm = RepeatBitmap(bits)
-        assert tree_to_bitmap(bitmap_to_tree(bm), n) == bm
+        assert_walks_back(np.array([rnd.random() < density for _ in range(n)], dtype=bool))
 
     def test_bitmap_tree_bitmap_large(self):
         rng = np.random.default_rng(42)
         for n in (2**16, 2**16 - 5, 40000):
-            bits = rng.random(n) < 0.3
-            bm = RepeatBitmap(bits)
-            assert tree_to_bitmap(bitmap_to_tree(bm), n) == bm
+            assert_walks_back(rng.random(n) < 0.3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2048), st.integers(0, 2**32 - 1))
     def test_serialize_parse(self, n, seed):
         rnd = random.Random(seed)
         positions = [p for p in range(n) if rnd.random() < 0.2]
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
-        data = serialize_tree(tree)
-        parsed, consumed = parse_tree(data + b"\xde\xad", n)
-        assert parsed == tree
-        assert consumed == tree.node_count == len(data)
+        data = tree_bytes(bitmap(positions, n))
+        bits, consumed = _walk(data + b"\xde\xad", n)
+        assert np.flatnonzero(bits).tolist() == positions
+        assert consumed == len(data)
 
     def test_parse_examples(self):
         tree, consumed = parse_tree(FIG2_TREE, 64)
@@ -235,17 +213,17 @@ class TestRoundTrips:
         tree, _ = parse_tree(FIG2_TREE, 64)
         assert tree_to_bitmap(tree, 64).positions() == FIG2_POSITIONS
         tree, _ = parse_tree(b"\x00", 64)
-        assert tree_to_bitmap(tree, 64).count == 0
+        assert tree_to_bitmap(tree, 64).positions() == []
 
 
 class TestMalformedTrees:
     def test_parse_truncated(self):
         with pytest.raises(MalformedTree):
-            parse_tree(bytes.fromhex("c20c"), 64)
+            _walk(bytes.fromhex("c20c"), 64)
 
     def test_parse_empty(self):
         with pytest.raises(MalformedTree):
-            parse_tree(b"", 64)
+            _walk(b"", 64)
 
     @pytest.mark.parametrize(
         "data, n, end",
@@ -259,67 +237,65 @@ class TestMalformedTrees:
     )
     def test_truncation_names_where_the_stream_ends(self, data, n, end):
         with pytest.raises(MalformedTree, match=f"^node stream truncated at byte {end}$"):
-            parse_tree(bytes.fromhex(data), n)
+            _walk(bytes.fromhex(data), n)
 
     def test_presence_bit_names_the_node_that_holds_it(self):
         # 10 blocks, bits 0 and 72: the second twig (byte 3) also claims block 10
-        assert bitmap_to_tree(RepeatBitmap.from_positions([0, 72], 80)).nodes == bytes.fromhex("c080804080")
+        assert tree_bytes(bitmap([0, 72], 80)) == bytes.fromhex("c080804080")
         with pytest.raises(MalformedTree, match="^node at byte 3: presence bit for child slot 10 past 10 slots$"):
-            parse_tree(bytes.fromhex("c08080608080"), 80)
+            _walk(bytes.fromhex("c08080608080"), 80)
         with pytest.raises(MalformedTree, match="^node at byte 0: presence bit for child slot 2 past 2 slots$"):
-            parse_tree(bytes([0b00100000, 0x01]), 16)
+            _walk(bytes([0b00100000, 0x01]), 16)
         # two bits past the root's 2 slots: the first is named
         with pytest.raises(MalformedTree, match="^node at byte 0: presence bit for child slot 2 past 2 slots$"):
-            parse_tree(bytes([0b00110000, 1, 1]), 16)
+            _walk(bytes([0b00110000, 1, 1]), 16)
 
     def test_trailing_nodes_name_the_tree_end(self):
         with pytest.raises(MalformedTree, match="^1 trailing node bytes after byte 1$"):
-            tree_to_bitmap(OrtTree(8, 1, b"\x00\xff"), 64)
+            tree_to_bitmap(OrtTree(b"\x00\xff"), 64)
 
     def test_parse_child_past_blocks(self):
         # 16 bits -> 2 blocks; a root claiming child 3 points past them
         with pytest.raises(MalformedTree):
-            parse_tree(bytes([0b00100000, 0x01]), 16)
+            _walk(bytes([0b00100000, 0x01]), 16)
 
     def test_to_bitmap_truncated_tree(self):
-        bad = OrtTree(8, 1, bytes([0b00100000]))  # claims child 3, stream ends
+        bad = OrtTree(bytes([0b00100000]))  # claims child 3, stream ends
         with pytest.raises(MalformedTree):
             tree_to_bitmap(bad, 64)
 
     def test_to_bitmap_trailing_nodes(self):
-        bad = OrtTree(8, 1, b"\x00\xff")
+        bad = OrtTree(b"\x00\xff")
         with pytest.raises(MalformedTree):
             tree_to_bitmap(bad, 64)
 
     def test_to_bitmap_block_count_mismatch(self):
-        tree = bitmap_to_tree(RepeatBitmap.from_positions([1], 8))
+        # the tree of an 8-bit bitmap read at length 64: its root's child 2 is missing
         with pytest.raises(MalformedTree):
-            tree_to_bitmap(tree, 64)
-        # an empty depth-1 tree walks cleanly at length 64, so only its block count is wrong
-        with pytest.raises(MalformedTree, match="^tree spans 2 blocks, length 64 needs 8$"):
-            tree_to_bitmap(OrtTree(2, 1, b"\x00"), 64)
+            _walk(tree_bytes(bitmap([1], 8)), 64)
 
     def test_bit_beyond_length(self):
-        tree = OrtTree(1, 0, bytes([0b00000100]))  # bit for position 5
+        leaf = bytes([0b00000100])  # bit for position 5
         with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 4$"):
-            tree_to_bitmap(tree, 4)
-        assert tree_to_bitmap(tree, 6).positions() == [5]
+            _walk(leaf, 4)
+        assert np.flatnonzero(_walk(leaf, 6)[0]).tolist() == [5]
         with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 0$"):
-            tree_to_bitmap(OrtTree(0, 0, b"\x80"), 0)
+            _walk(b"\x80", 0)
         # bits for positions 6 and 7, both past 5
         with pytest.raises(BitBeyondLength, match="^leaf at byte 0: set bit past position 5$"):
-            tree_to_bitmap(OrtTree(1, 0, b"\x03"), 5)
+            _walk(b"\x03", 5)
         # 2 blocks under a twig: the leaf of block 1, at byte 2, holds position 13
         with pytest.raises(BitBeyondLength, match="^leaf at byte 2: set bit past position 12$"):
-            parse_tree(bytes([0xC0, 0x80, 0b00000100]), 12)
+            _walk(bytes([0xC0, 0x80, 0b00000100]), 12)
 
     def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^length must be non-negative, got -1$"):
+            _walk(b"\x00", -1)
         with pytest.raises(ValueError):
             parse_tree(b"\x00", -5)
-        for tree in (OrtTree(0, 0, b"\x00"), OrtTree(1, 0, b"\x00"), OrtTree(2, 1, b"\x00")):
-            for length in (-1, -5, -8, -9):
-                with pytest.raises(ValueError):
-                    tree_to_bitmap(tree, length)
+        for length in (-1, -5, -8, -9):
+            with pytest.raises(ValueError):
+                tree_to_bitmap(OrtTree(b"\x00"), length)
 
 
 def node_levels(data, n_bits):
@@ -340,12 +316,12 @@ def node_levels(data, n_bits):
 
 
 def assert_rejected_like_oracle(data, n):
-    """parse_tree raises what naive_parse_tree's failure names."""
+    """_walk raises what naive_parse_tree's failure names."""
     with pytest.raises(ValueError) as oracle:
         naive_parse_tree(data, n)
     expected = BitBeyondLength if "bit beyond" in str(oracle.value) else MalformedTree
     with pytest.raises(MalformedTree) as info:
-        parse_tree(data, n)
+        _walk(data, n)
     assert type(info.value) is expected
 
 
@@ -384,10 +360,10 @@ class TestWalkDepthBoundaries:
         rng = random.Random(num_blocks)
         for n in (8 * num_blocks, 8 * num_blocks - 3):
             positions = {p for p in range(n) if rng.random() < density}
-            data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
-            tree, consumed = parse_tree(data + b"\xff", n)
+            data = tree_bytes(bitmap(positions, n))
+            bits, consumed = _walk(data + b"\xff", n)
             assert naive_parse_tree(data, n) == (positions, consumed)
-            assert tree_to_bitmap(tree, n).positions() == sorted(positions)
+            assert np.flatnonzero(bits).tolist() == sorted(positions)
 
     def fault_tree(self, num_blocks):
         """A tree under at least one stem whose stream ends with the leaf run
@@ -395,7 +371,7 @@ class TestWalkDepthBoundaries:
         rng = random.Random(num_blocks)
         n = 8 * num_blocks
         positions = {p for p in range(n) if rng.random() < 0.3} | {n - 8}
-        data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+        data = tree_bytes(bitmap(positions, n))
         assert tree_depth(num_blocks) >= 2
         return data, n, node_levels(data, n)
 
@@ -431,7 +407,7 @@ class TestWalkDepthBoundaries:
         for tail in (b"\x80" * height, b""):
             assert_rejected_like_oracle(bytes(bad) + tail, n)
             with pytest.raises(MalformedTree, match=message):
-                parse_tree(bytes(bad) + tail, n)
+                _walk(bytes(bad) + tail, n)
 
     @pytest.mark.parametrize("num_blocks", [9, 64, 65, 512, 513])
     def test_stream_ends_right_after_a_stem(self, num_blocks):
@@ -453,7 +429,7 @@ class TestCompleteSubtrees:
     def complete_tree(self, height, n):
         """Every bit of n set, where the tree's first complete subtree of the
         height starts and its size, checked against node_levels."""
-        data = bitmap_to_tree(RepeatBitmap(np.ones(n, dtype=bool))).nodes
+        data = tree_bytes(np.ones(n, dtype=bool))
         depth = tree_depth(ceil_div(n, 8))
         start, size = depth - height, (8 ** (height + 1) - 1) // 7
         levels = node_levels(data, n)
@@ -543,7 +519,7 @@ class CountingBytes(bytes):
 @pytest.mark.parametrize("leaf", [0xFF, 0x7F])
 def test_walk_steps_over_complete_subtrees_without_reading_each_node(n, most, leaf):
     expected = np.unpackbits(np.full(n // 8, leaf, dtype=np.uint8)).view(bool)
-    data = CountingBytes(bitmap_to_tree(RepeatBitmap(expected)).nodes)
+    data = CountingBytes(tree_bytes(expected))
     data.reads = 0
     bits, consumed = _walk(data, n)
     assert np.array_equal(bits, expected) and consumed == len(data)
@@ -554,7 +530,7 @@ def test_walk_steps_over_complete_subtrees_without_reading_each_node(n, most, le
 def test_walk_memory_stays_within_two_bytes_per_input_byte(stride):
     # 1 MiB of zeros: every byte past the first stride repeats
     n = 1 << 20
-    nodes = bitmap_to_tree(RepeatBitmap.from_positions(range(stride, n), n)).nodes
+    nodes = tree_bytes(bitmap(range(stride, n), n))
     for data in (nodes, nodes + bytes(2 * n)):  # bytes after the tree cost no memory
         _complete.cache_clear()  # the peak includes building the complete subtrees' tags and masks
         tracemalloc.start()
@@ -580,7 +556,7 @@ class TestParseDifferential:
     def test_mutated_tree_agrees_with_oracle(self, n, density, seed, mutation, draw):
         rng = random.Random(seed)
         positions = [p for p in range(n) if rng.random() < density]
-        data = bytearray(bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes)
+        data = bytearray(tree_bytes(bitmap(positions, n)))
         if mutation == "flip":
             bit = draw.draw(st.integers(0, 8 * len(data) - 1))
             data[bit // 8] ^= 0x80 >> (bit % 8)
@@ -593,11 +569,11 @@ class TestParseDifferential:
             expected, expected_consumed = naive_parse_tree(data, n)
         except ValueError:
             with pytest.raises((MalformedTree, BitBeyondLength)):
-                parse_tree(data, n)
+                _walk(data, n)
             return
-        tree, consumed = parse_tree(data, n)
+        bits, consumed = _walk(data, n)
         assert consumed == expected_consumed
-        assert tree_to_bitmap(tree, n).positions() == sorted(expected)
+        assert np.flatnonzero(bits).tolist() == sorted(expected)
 
     @pytest.mark.parametrize("n", range(65))
     def test_every_cut_append_and_flip_of_a_leaf_or_twig_root_agrees_with_oracle(self, n):
@@ -606,7 +582,7 @@ class TestParseDifferential:
         for density in (0.0, 0.3, 1.0):
             rng = random.Random(n)
             positions = [p for p in range(n) if rng.random() < density]
-            data = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+            data = tree_bytes(bitmap(positions, n))
             cases = [data[:end] for end in range(len(data))]
             cases += [data + tail for tail in (b"\x00", b"\x80", b"\xff", b"\x80\x01", b"\xff\xff")]
             for bit in range(8 * len(data)):
@@ -623,7 +599,7 @@ class TestStructuralInvariants:
         rng = random.Random(100 + seed)
         n = rng.randrange(1, 4000)
         positions = {p for p in range(n) if rng.random() < 0.1}
-        nodes = bitmap_to_tree(RepeatBitmap.from_positions(positions, n)).nodes
+        nodes = tree_bytes(bitmap(positions, n))
         kinds = classify_nodes(nodes, n)
         assert len(kinds) == len(nodes)
         for i, (kind, value) in enumerate(kinds):
@@ -635,7 +611,7 @@ class TestStructuralInvariants:
         rng = random.Random(200 + seed)
         n = rng.randrange(1, 60000)
         positions = {p for p in range(n) if rng.random() < 0.5}
-        tree = bitmap_to_tree(RepeatBitmap.from_positions(positions, n))
+        levels, _ = _levels(bitmap(positions, n))
         blocks = ceil_div(n, 8)
-        bound = blocks + sum(8**d for d in range(tree.depth))
-        assert tree.node_count <= bound
+        bound = blocks + sum(8**d for d in range(len(levels) - 1))
+        assert len(_preorder(levels)) <= bound
