@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -14,9 +15,11 @@ from ortc.tree import (
     _levels,
     _preorder,
     _walk,
+    bitmap_to_tree,
     kth_child,
     parent,
     parse_tree,
+    serialize_tree,
     tree_depth,
     tree_to_bitmap,
 )
@@ -122,6 +125,29 @@ class TestRepeatBitmap:
     def test_rejects_two_dimensions(self):
         with pytest.raises(ValueError, match="^bitmap must be one-dimensional$"):
             RepeatBitmap(np.zeros((2, 4), dtype=bool))
+
+
+class TestOrtTree:
+    def test_node_bytes_count_and_serialize(self):
+        tree = bitmap_to_tree(RepeatBitmap(bitmap(FIG2_POSITIONS, 64)))
+        assert tree.nodes == FIG2_TREE
+        assert tree.node_count == 4
+        assert serialize_tree(tree) is tree.nodes
+
+    def test_frozen(self):
+        tree = OrtTree(FIG2_TREE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.nodes = b"\x00"
+
+    def test_no_nodes_read_as_truncated(self):
+        # the constructor takes any bytes; reading finds an empty tree has no root
+        with pytest.raises(MalformedTree, match="^node stream truncated at byte 0$"):
+            tree_to_bitmap(OrtTree(b""), 64)
+
+    def test_parse_copies_only_the_tree(self):
+        tree, consumed = parse_tree(memoryview(FIG2_TREE + b"\xde\xad"), 64)
+        assert type(tree.nodes) is bytes
+        assert (tree.nodes, consumed, tree.node_count) == (FIG2_TREE, 4, 4)
 
 
 class TestBitmapToTree:
