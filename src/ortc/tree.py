@@ -17,12 +17,12 @@ ceil(N / 8) leaves need the smallest d with 8**d >= numBlocks.
 
 Building goes level by level.  The leaf bytes are packbits of the bitmap and
 each level above is packbits of the one below (a bit per nonzero byte), so the
-pruned size is known before any node is ordered.  In the full tree the levels
-describe, only a level's last node can head an incomplete subtree, and it has
-no younger sibling, so child k of the node at full-tree preorder index a on
-level l sits at a + 1 + k * (8**(depth - l) - 1) / 7.  One scatter per level
-writes every slot there; after the root, always written, one boolean gather of
-the nonzero bytes yields the present nodes in preorder, unsorted.
+pruned size is known before any node is ordered.  A subtree's preorder is its
+byte, then its children's subtrees, built from the leaves up: each slot of a
+level but the last has eight child slots, so its subtree is a row of one width
+and one concatenate per level builds the rows.  The last slot's subtree, maybe
+cut short, ends the preorder and is kept as one ragged array.  After the root,
+always written, one boolean gather of the nonzero bytes yields the present nodes.
 
 Walking counts heights, the levels below a node: leaves 0, twigs 1, stems 2,
 the root the depth.  The loop pops heights from the root's down to the stems,
@@ -154,14 +154,13 @@ def _levels(bits: np.ndarray) -> tuple[list[np.ndarray], int]:
 
 def _preorder(levels: list[np.ndarray]) -> bytes:
     """The present nodes of _levels' tree in depth-first preorder."""
-    depth = len(levels) - 1
-    full = np.empty(sum(level.size for level in levels), dtype=np.uint8)  # every slot in preorder, the root's unset
-    at = np.zeros(1, dtype=np.intp)  # the full-tree preorder index of each slot of the level
-    for level, nodes in enumerate(levels[1:]):
-        span = (8 ** (depth - level) - 1) // 7  # nodes in a child's complete subtree
-        at = (at[:, None] + np.arange(1, 1 + 8 * span, span)).reshape(-1)[: nodes.size]
-        full[at] = nodes
-    return b"".join((levels[0], full[1:][full[1:] != 0]))  # the root, written even when zero
+    # each slot's subtree in preorder: a row for every slot but the last, whose subtree may be cut short
+    rows, last = levels[-1][:-1, None], levels[-1][-1:]
+    for nodes in reversed(levels[:-1]):
+        k = 8 * (nodes.size - 1)  # the children of every slot but the last
+        last = np.concatenate((nodes[-1:], rows[k:].reshape(-1), last))
+        rows = np.concatenate((nodes[:-1, None], rows[:k].reshape(-1, 8 * rows.shape[1])), axis=1)
+    return b"".join((levels[0], last[1:][last[1:] != 0]))  # the root, written even when zero
 
 
 def bitmap_to_tree(bitmap: RepeatBitmap) -> OrtTree:

@@ -209,13 +209,16 @@ class TestEncodePass:
             frame = encode_pass(data, stride, 3)
             assert len(frame.to_bytes()) <= len(data) + FRAME_OVERHEAD
 
+    # 1 MiB, and one block past the 8**4 and 8**5 block depth boundaries
+    @pytest.mark.parametrize("n", [8 * (8**4 + 1), 8 * (8**5 + 1), 1 << 20])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("run", [1 << 20, 16, 3], ids=["zeros", "runs16", "runs3"])
-    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride, run):
-        # 1 MiB of zeros, or of random bytes each repeated `run` times
-        n = 1 << 20
-        heads = np.random.default_rng(run).integers(0, 256, -(-n // run), dtype=np.uint8)
-        data = bytes(n) if run == n else np.repeat(heads, run)[:n].tobytes()
+    @pytest.mark.parametrize("run", [None, 16, 3], ids=["zeros", "runs16", "runs3"])
+    def test_memory_stays_within_a_few_bytes_per_input_byte(self, n, stride, run):
+        # n zero bytes, or random bytes each repeated `run` times
+        data = bytes(n)
+        if run is not None:
+            heads = np.random.default_rng(run).integers(0, 256, -(-n // run), dtype=np.uint8)
+            data = np.repeat(heads, run)[:n].tobytes()
         tracemalloc.start()
         try:
             frame = encode_pass(data, stride, 3)
@@ -223,8 +226,10 @@ class TestEncodePass:
         finally:
             tracemalloc.stop()
         assert frame.mode == FrameMode.ORT and decode_pass(frame) == data
-        # about 2.6 bytes per input byte: the repeat bits, one int64 index per leaf slot, the tree
-        assert peak <= 3.5 * n
+        # the marker peaks at 2 bytes per input byte, the repeat bits and one temporary; the tree
+        # build, bits included, at under 1.7.  With 3-byte runs at stride 2 nearly every byte is
+        # kept, so the bits, the gather and its tobytes copy take 3
+        assert peak <= (3.5 if run == 3 and stride == 2 else 2.25) * n
 
     def test_short_runs_stay_verbatim(self):
         data = b"\xf7\xf7" + bytes(range(10)) + b"\xf9\xf9\xf9\xf9"
