@@ -212,13 +212,13 @@ def decode_pass(frame: PassFrame) -> memoryview:
             where = f"kept byte {expected} is left over"
         raise MalformedFrame(f"kept stream holds {kept.size} bytes, bitmap expects {expected}: {where}")
 
-    # Two fills, chosen by a constant gate that bounds memory.  At stride 1 each
-    # kept byte fills itself and the repeats up to the next kept byte, with one
-    # int64 count per kept byte: at most n bytes while at most one byte in eight
-    # is kept.  Measured on 1 MiB frames with random kept bytes, this fill beat
-    # the lane fill on time up to 9/10 kept and on memory up to 1/2, but took 2x
-    # the time and 4.7x the memory at 98%; workload frames keep under 1/13 or 98%.
-    if stride == 1 and 8 * kept.size <= n:
+    # Two fills, chosen by a constant gate.  At stride 1 each kept byte fills
+    # itself and the repeats up to the next kept byte, with one int64 count per
+    # kept byte.  Measured on 1 MiB frames, this fill beat the lane fill on time
+    # up to 9/10 kept and on memory up to 1/2, so it runs while at most half the
+    # bytes are kept, where it is both faster and smaller; it took 2x the time
+    # and 4.7x the memory at 98%; workload frames keep under 8% or over 97%.
+    if stride == 1 and 2 * kept.size <= n:
         counts = np.flatnonzero(np.logical_not(bits, out=bits))
         del bits
         counts[:-1] = counts[1:] - counts[:-1]

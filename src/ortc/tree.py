@@ -25,15 +25,15 @@ cut short, ends the preorder and is kept as one ragged array.  After the root,
 always written, one boolean gather of the nonzero bytes yields the present nodes.
 
 Walking counts heights, the levels below a node: leaves 0, twigs 1, stems 2,
-the root the depth.  The loop pops heights from the root's down to the stems,
+the root the depth.  A root that is a leaf, or a twig and its leaves, is
+stepped over before the loop, so the loop pops only heights of 2 and up.  It
 tags each internal node's byte with its height in a bytearray (leaf bytes keep
 0), and steps over a stem's twigs, each directly followed by its
-popcount(mask) leaf bytes, tagging only the twig; a root that is a leaf or a
-twig pushes its leaves, which are stepped over.  A node of height h from 3 to 5
-whose byte is 0xFF may head a complete subtree, (8**(h+1) - 1) / 7 bytes with
-every internal byte 0xFF.  If its first and last twig are 0xFF, one compare of
-those bytes, ORed with a mask that is 0xFF at the leaf offsets, tests it; if
-it is complete, one slice assignment writes the height's fixed run of tags and
+popcount(mask) leaf bytes, tagging only the twig.  A node of height h from 3 to
+5 whose byte is 0xFF may head a complete subtree, (8**(h+1) - 1) / 7 bytes (its
+cached run's length) with every internal byte 0xFF.  If its first and last twig
+are 0xFF, one compare of those bytes, ORed with a mask that is 0xFF at the leaf
+offsets, tests it; if it is complete, one slice assignment writes the run and
 the loop steps over it, leaving the tags and position that descending would.
 Each height's run and mask (585, 4,681 and 37,449 bytes each, about 85 KB in
 all) are built on first use and cached; above height 5 the loop descends, so
@@ -76,10 +76,6 @@ FANOUT = 8
 # 1 + popcount(byte): the bytes from a twig to the node after it, the twig and
 # its leaves, or one more than an internal node's child count.
 _SKIP = bytes(1 + bin(byte).count("1") for byte in range(256))
-
-# (8**(h+1) - 1) / 7: the bytes of a complete subtree of height h, up to the
-# highest that the walk steps over whole
-_SPAN = tuple((8 ** (height + 1) - 1) // 7 for height in range(6))
 
 
 def parent(r: int) -> int:
@@ -191,8 +187,11 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
     depth = tree_depth(-(-length // 8))
     # the height of each internal node byte, 0 per leaf; the loop reads no more bytes than the full tree has
     tags = bytearray(min(len(data), (8 ** (depth + 1) - 1) // 7))
-    pos, stack = 0, [depth]
+    pos, stack = 0, [depth] if depth > 1 else []  # internal heights, 2 and up
     try:
+        if depth < 2:  # the root is a leaf, or a twig followed by its leaves; empty data raises here
+            tags[0] = depth
+            pos = _SKIP[data[0]] if depth else 1
         while stack:
             height = stack.pop()
             if height == 2:  # a stem: each twig, then its popcount(mask) leaf bytes
@@ -203,16 +202,13 @@ def _walk(data: bytes | memoryview, length: int) -> tuple[np.ndarray, int]:
                     tags[pos] = 1
                     pos += _SKIP[data[pos]]
                 continue
-            if not height:  # a leaf, on the stack only when the root is a leaf or a twig
-                pos += 1
-                continue
             tags[pos] = height
             byte = data[pos]
-            if byte == 0xFF and 2 < height < len(_SPAN):  # it may head a complete subtree
-                end = pos + _SPAN[height]
+            if byte == 0xFF and height < 6:  # it may head a complete subtree
+                run, leaves = _complete(height)
+                end = pos + len(run)
                 # probe its first and its last twig, then compare every internal byte at once
                 if end <= len(tags) and data[pos + height - 1] == 0xFF == data[end - 9]:
-                    run, leaves = _complete(height)
                     if (np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos) | leaves).min() == 0xFF:
                         tags[pos:end] = run
                         pos = end

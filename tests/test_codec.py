@@ -377,13 +377,14 @@ class TestDecodePass:
                 self.check_frame(stride, n, self.repeat_positions(kind, stride, n, rng), rng)
 
     # stride-1 frames keeping one byte fewer than, as many as and one more
-    # than n // 8 bytes, on both sides of the gate between the two fills
+    # than n // 2 bytes, on both sides of the gate between the two fills, and
+    # as many around n // 8, well inside the repeat fill
     def test_matches_oracle_on_both_sides_of_the_stride_one_fill_gate(self):
         rng = random.Random("gate")
         self.check_frame(1, 0, set(), rng)
         for m in (1, 2, 3, 8, 125):
             for n in (8 * m - 1, 8 * m, 8 * m + 1):
-                for kept in (n // 8 - 1, n // 8, n // 8 + 1):
+                for kept in (n // 8 - 1, n // 8, n // 8 + 1, n // 2 - 1, n // 2, n // 2 + 1):
                     if kept < 1:
                         continue  # position 0 is always kept
                     kept_at = {0, *rng.sample(range(1, n), kept - 1)}
@@ -391,10 +392,12 @@ class TestDecodePass:
         self.check_frame(1, 4099, set(range(1, 4099)), rng)  # one kept byte, the rest repeats
 
     @pytest.mark.parametrize(
-        "stride, run", [(1, 1 << 20), (2, 1 << 20), (7, 1 << 20), (1, 16)], ids=["1", "2", "7", "1-runs16"]
+        "stride, run, bound",
+        [(1, 1 << 20, 3.5), (2, 1 << 20, 3.5), (7, 1 << 20, 3.5), (1, 16, 3.5), (1, 3, 6)],
+        ids=["1", "2", "7", "1-runs16", "1-runs3"],
     )
-    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride, run):
-        # 1 MiB of random bytes, each repeated `run` times: one byte throughout, or 16-byte runs
+    def test_memory_stays_within_a_few_bytes_per_input_byte(self, stride, run, bound):
+        # 1 MiB of random bytes, each repeated `run` times: one byte throughout, or 16- or 3-byte runs
         data = bytes(b for b in random.Random(run).randbytes((1 << 20) // run) for _ in range(run))
         n = len(data)
         frame = encode_pass(data, stride, 3)
@@ -406,12 +409,13 @@ class TestDecodePass:
         finally:
             tracemalloc.stop()
         assert out == data
-        # no array of an index per input byte: those take 4 or 8 bytes each
-        assert peak <= 3.5 * n
+        # no array of an index per input byte: those take 4 or 8 bytes each; at
+        # a third kept, the repeat fill's int64 count per kept byte is 8/3 B/B
+        assert peak <= bound * n
 
     def test_stride_one_frame_keeping_one_byte_in_eight_takes_the_repeat_fill(self):
-        # at the gate: the repeat fill holds one count per kept byte, the lane
-        # fill a mask, a lane-major mask and the output besides (over 5 B/B)
+        # well inside the gate: the repeat fill holds one count per kept byte,
+        # the lane fill a mask, a lane-major mask and the output besides (over 5 B/B)
         n = 1 << 18
         rng = np.random.default_rng(8)
         kept_at = np.concatenate(([0], 1 + rng.choice(n - 1, n // 8 - 1, replace=False)))
@@ -427,6 +431,24 @@ class TestDecodePass:
             tracemalloc.stop()
         assert out == naive_decode_frame(frame.to_bytes())
         assert peak <= 3.5 * n
+
+    # half kept, in 2-byte runs: the repeat fill takes 8.3 B/B, the lane fill
+    # 15.3; 49 of 50 kept: the lane fill takes 3.4 B/B, the repeat fill 15.7
+    @pytest.mark.parametrize("every, bound", [(2, 9), (50, 4)], ids=["half-kept", "most-kept"])
+    def test_stride_one_fill_gate_takes_the_smaller_fill_on_both_sides(self, every, bound):
+        n = 1 << 18
+        bits = np.zeros(n, dtype=bool)
+        bits[every - 1 :: every] = True  # a repeat closes every run of `every` bytes
+        kept = np.random.default_rng(every).integers(0, 256, n - n // every, dtype=np.uint8).tobytes()
+        frame = PassFrame(FrameMode.ORT, 1, n, kept, _preorder(_levels(bits)[0]))
+        tracemalloc.start()
+        try:
+            out = decode_pass(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == naive_decode_frame(frame.to_bytes())
+        assert peak <= bound * n
 
 
 class TestParseFrame:

@@ -255,6 +255,8 @@ class TestMalformedTrees:
         "data, n, end",
         [
             ("", 64, 0),  # no root
+            ("", 8, 0),  # no root, which would be a leaf
+            ("", 0, 0),  # no root, for a bitmap of no bits
             ("c20c", 64, 2),  # the root is the twig; its second leaf is missing
             ("c20c83", 64, 3),  # its third leaf is missing
             ("c080", 80, 2),  # the root is a stem; its first twig's leaf is missing
@@ -540,6 +542,18 @@ def test_walk_steps_over_complete_subtrees_without_reading_each_node(n, most, le
     bits, consumed = _walk(data, n)
     assert np.array_equal(bits, expected) and consumed == len(data)
     assert data.reads < most
+
+
+def test_walk_caches_complete_subtrees_of_heights_three_to_five_only():
+    # a root of height 6 and byte 0xFF over every block but the last: each node
+    # on the path to that block is incomplete, so heights 6 down to 3 are tried
+    n = 8**7
+    data = tree_bytes(bitmap(range(n - 8), n))
+    assert data[0] == 0xFF and tree_depth(n // 8) == 6
+    _complete.cache_clear()
+    bits, consumed = _walk(data, n)
+    assert consumed == len(data) and np.count_nonzero(bits) == n - 8
+    assert _complete.cache_info().currsize <= 3  # the runs and masks of heights 3 to 5, about 85 KB
 
 
 @pytest.mark.parametrize("stride", [1, 2, 7])
